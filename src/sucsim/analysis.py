@@ -29,13 +29,9 @@ from scipy.stats import binom, chi2
 from .cipher import SucParams, apply_batch, draw_instance
 from .entropy import SeededEntropy
 from .sbox4 import SBoxPool
-from .sbox8 import FeistelSpec, feistel8, profile8
+from .sbox8 import POPCOUNT, FeistelSpec, feistel8, profile8
 
 SBOX_MODES = ("single-replicated", "eight-distinct")
-
-_POPCOUNT = np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1).sum(
-    axis=1
-).astype(np.int64)
 
 
 def _subseed(seed, *parts) -> bytes:
@@ -104,7 +100,7 @@ def _avalanche_counts_for_instance(suc, inputs: np.ndarray) -> np.ndarray:
     )  # (t, 65, 8); column 0 is the unmodified input
     out = apply_batch(suc, batch.reshape(t * 65, 8)).reshape(t, 65, 8)
     delta = out[:, 1:, :] ^ out[:, :1, :]
-    distances = _POPCOUNT[delta].sum(axis=2)
+    distances = POPCOUNT[delta].sum(axis=2)
     return np.bincount(distances.ravel(), minlength=65)
 
 
@@ -394,6 +390,14 @@ def write_histogram_csv(result: AvalancheResult, path) -> None:
         w.writerow(["hamming_distance", "count"])
         for d in range(65):
             w.writerow([d, int(result.counts[d])])
+
+
+def write_bound_csv(report: BoundReport, path) -> None:
+    with open(path, "w", newline="") as f:
+        w = csv.writer(f)
+        w.writerow(["index", "max_diff_prob", "max_lin_prob"])
+        for i, (d, l) in enumerate(zip(report.diff_probs, report.lin_probs)):
+            w.writerow([i, d, l])
 
 
 def write_rounds_csv(rows, path) -> None:

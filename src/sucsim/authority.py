@@ -16,16 +16,16 @@ from __future__ import annotations
 import datetime as _dt
 import enum
 import os
-import re
 import threading
 from dataclasses import dataclass, field
 from typing import Protocol
 
+from . import records
 from .cipher import SucParams, apply
 from .entropy import EntropySource
 from .errors import ChannelError, EnrollmentError
 
-_HEX_RE = re.compile(r"\A[0-9a-f]*\Z")
+_HEADER_KEYS = ("serial", "created_at", "rounds", "feistel_r", "pool_digest")
 
 
 class AuthResult(enum.Enum):
@@ -93,59 +93,42 @@ def enroll(
     return record
 
 
-def _consume_next(record: UirRecord, entropy: EntropySource | None) -> CrPair | None:
-    unused = [p for p in record.pairs if not p.used]
-    if not unused:
-        return None
-    if entropy is None:
-        pair = unused[0]  # lowest index first: deterministic, auditable
-    else:
-        pair = unused[entropy.draw_index(len(unused))]
-    pair.used = True
-    return pair
-
-
 def authenticate(
     channel: DeviceChannel,
     record: UirRecord,
     entropy: EntropySource | None = None,
+    inverse: bool = False,
 ) -> AuthResult:
     """One handshake: send a stored challenge, require the stored response.
 
-    The selected pair is consumed even when the device answers wrongly or
-    not at all. Pass an entropy source to randomize pair selection.
+    With inverse=True the handshake runs reversed: send the stored
+    response and expect the challenge back, which only an involutive
+    device can do. The selected pair is consumed even when the device
+    answers wrongly or not at all. Pass an entropy source to randomize
+    pair selection; without one the lowest unused pair goes first, which
+    keeps runs deterministic and auditable.
     """
-    pair = _consume_next(record, entropy)
-    if pair is None:
+    unused = [p for p in record.pairs if not p.used]
+    if not unused:
         return AuthResult.EXHAUSTED
+    pair = unused[0 if entropy is None else entropy.draw_index(len(unused))]
+    pair.used = True
+    sent, expected = (pair.y, pair.x) if inverse else (pair.x, pair.y)
     try:
-        answer = channel.respond(pair.x)
+        answer = channel.respond(sent)
     except ChannelError:
         return AuthResult.REJECTED
-    return AuthResult.ACCEPTED if bytes(answer) == pair.y else AuthResult.REJECTED
-
-
-def inverse_authenticate(
-    channel: DeviceChannel,
-    record: UirRecord,
-    entropy: EntropySource | None = None,
-) -> AuthResult:
-    """Reversed handshake: send the stored response, expect the challenge."""
-    pair = _consume_next(record, entropy)
-    if pair is None:
-        return AuthResult.EXHAUSTED
-    try:
-        answer = channel.respond(pair.y)
-    except ChannelError:
-        return AuthResult.REJECTED
-    return AuthResult.ACCEPTED if bytes(answer) == pair.x else AuthResult.REJECTED
+    return AuthResult.ACCEPTED if bytes(answer) == expected else AuthResult.REJECTED
 
 
 # ---------------------------------------------------------------------------
 # persistence
 
-_PAIR_RE = re.compile(r"\Apair: ([0-9a-f]{16}) ([0-9a-f]{16}) ([01])\Z")
-_FIELD_KEYS = ("serial", "created_at", "rounds", "feistel_r", "pool_digest")
+def _pair(value: str) -> CrPair:
+    x, y, used = value.split(" ")
+    if used not in ("0", "1"):
+        raise ValueError(f"pair use flag {used[:8]!r} is not 0 or 1")
+    return CrPair(x=records.hex_field(x, 8), y=records.hex_field(y, 8), used=used == "1")
 
 
 class UirStore:
@@ -158,6 +141,8 @@ class UirStore:
         self._locks_guard = threading.Lock()
 
     def _path(self, serial: str) -> str:
+        if not records.SERIAL_RE.match(serial):
+            raise EnrollmentError(f"invalid serial {serial[:80]!r}")
         return os.path.join(self.directory, f"{serial}.uir")
 
     def lock_for(self, serial: str) -> threading.Lock:
@@ -175,67 +160,37 @@ class UirStore:
         )
 
     def save(self, record: UirRecord) -> None:
-        lines = [
-            f"serial: {record.serial}",
-            f"created_at: {record.created_at}",
-            f"rounds: {record.params.rounds}",
-            f"feistel_r: {record.params.feistel_r}",
-            f"pool_digest: {record.params.pool_digest.hex()}",
-        ]
-        lines += [
-            f"pair: {p.x.hex()} {p.y.hex()} {1 if p.used else 0}"
-            for p in record.pairs
-        ]
-        path = self._path(record.serial)
-        tmp = path + ".tmp"
-        with open(tmp, "w", encoding="ascii") as f:
-            f.write("\n".join(lines) + "\n")
-        os.replace(tmp, path)
+        header = {
+            "serial": record.serial,
+            "created_at": record.created_at,
+            "rounds": record.params.rounds,
+            "feistel_r": record.params.feistel_r,
+            "pool_digest": record.params.pool_digest.hex(),
+        }
+        pairs = [f"{p.x.hex()} {p.y.hex()} {1 if p.used else 0}" for p in record.pairs]
+        records.write(self._path(record.serial), header, "pair", pairs)
 
     def load(self, serial: str) -> UirRecord:
+        path = self._path(serial)
         try:
-            with open(self._path(serial), "r", encoding="ascii") as f:
-                lines = [ln for ln in f.read().split("\n") if ln]
+            lines = records.read(path)
+            head = records.fields(lines[:5], _HEADER_KEYS)
+            if head["serial"] != serial:
+                raise ValueError("record serial does not match file name")
+            return UirRecord(
+                serial=serial,
+                params=SucParams(
+                    rounds=records.int_field(head["rounds"]),
+                    feistel_r=records.int_field(head["feistel_r"]),
+                    pool_digest=records.hex_field(head["pool_digest"], 0, 32),
+                ),
+                pairs=[_pair(v) for v in records.rows(lines[5:], "pair")],
+                created_at=head["created_at"],
+            )
         except FileNotFoundError:
             raise EnrollmentError(f"no record for serial {serial!r}") from None
-        fields = {}
-        pairs = []
-        for ln in lines:
-            m = _PAIR_RE.match(ln)
-            if m:
-                pairs.append(
-                    CrPair(
-                        x=bytes.fromhex(m.group(1)),
-                        y=bytes.fromhex(m.group(2)),
-                        used=m.group(3) == "1",
-                    )
-                )
-                continue
-            if ": " not in ln:
-                raise EnrollmentError(f"malformed record line: {ln!r}")
-            key, value = ln.split(": ", 1)
-            if key not in _FIELD_KEYS or key in fields:
-                raise EnrollmentError(f"malformed record line: {ln!r}")
-            fields[key] = value
-        try:
-            digest_hex = fields["pool_digest"]
-            if not _HEX_RE.match(digest_hex):
-                raise EnrollmentError("pool_digest is not canonical hex")
-            record = UirRecord(
-                serial=fields["serial"],
-                params=SucParams(
-                    rounds=int(fields["rounds"]),
-                    feistel_r=int(fields["feistel_r"]),
-                    pool_digest=bytes.fromhex(digest_hex),
-                ),
-                pairs=pairs,
-                created_at=fields["created_at"],
-            )
-        except KeyError as exc:
-            raise EnrollmentError(f"record for {serial!r} missing field {exc}") from exc
-        if record.serial != serial:
-            raise EnrollmentError("record serial does not match file name")
-        return record
+        except ValueError as exc:
+            raise EnrollmentError(f"record for {serial!r} is malformed: {exc}") from exc
 
     def create(self, record: UirRecord) -> None:
         """Persist a new record; duplicate serials are refused."""

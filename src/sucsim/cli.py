@@ -44,12 +44,18 @@ from .sbox8 import (
 )
 
 
-def _entropy(seed, default_seed=None):
-    if seed is not None:
-        return SeededEntropy(seed)
-    if default_seed is not None:
-        return SeededEntropy(default_seed)
-    return SystemEntropy()
+def _entropy(seed):
+    return SystemEntropy() if seed is None else SeededEntropy(seed)
+
+
+def _seed(args) -> int:
+    """Seed of the commands that default to 0 so published runs reproduce."""
+    return 0 if args.seed is None else args.seed
+
+
+def _pool(args):
+    """The --pool file, or the seeded 256-entry pool when none is given."""
+    return read_pool(args.pool) if args.pool else build_pool(256, SeededEntropy(_seed(args)))
 
 
 def _device_ref(prefix: str):
@@ -64,32 +70,27 @@ def _parse_listen(text: str):
     return host, int(port)
 
 
-def _emit(args, payload: dict, order=None) -> None:
+def _emit(args, payload: dict) -> None:
+    """Print payload as JSON (sorted keys), or in insertion order as one
+    CSV header and row, or as `key: value` lines."""
     if args.format == "json":
         print(json.dumps(payload, indent=2, sort_keys=True))
         return
-    keys = order or sorted(payload)
     if args.format == "csv":
-        print(",".join(str(k) for k in keys))
-        print(",".join(str(payload[k]) for k in keys))
+        print(",".join(str(k) for k in payload))
+        print(",".join(str(v) for v in payload.values()))
         return
-    for k in keys:
-        print(f"{k}: {payload[k]}")
+    for k, v in payload.items():
+        print(f"{k}: {v}")
 
 
 # ---------------------------------------------------------------------------
 # subcommand handlers
 
 def cmd_gen_pool(args) -> int:
-    entropy = _entropy(args.seed, default_seed=0)
-    note = f"seed={args.seed if args.seed is not None else 0}"
-    pool = build_pool(args.count, entropy, seed_note=note)
+    pool = build_pool(args.count, SeededEntropy(_seed(args)))
     write_pool(pool, args.out)
-    _emit(
-        args,
-        {"count": pool.count, "digest": pool.digest.hex(), "out": args.out},
-        order=["count", "digest", "out"],
-    )
+    _emit(args, {"count": pool.count, "digest": pool.digest.hex(), "out": args.out})
     return 0
 
 
@@ -105,7 +106,6 @@ def cmd_profile(args) -> int:
             "branch_min": p.branch_min,
             "serpent_type": is_serpent_type(table),
         },
-        order=["bijective", "lin", "diff", "branch_min", "serpent_type"],
     )
     return 0
 
@@ -132,7 +132,6 @@ def cmd_build_sbox8(args) -> int:
             "lin": prof.lin,
             "diff": prof.diff,
         },
-        order=["out", "involutive", "lin", "diff"],
     )
     return 0
 
@@ -160,15 +159,6 @@ def cmd_profile8(args) -> int:
             "max_diff_prob": prof.max_diff_prob,
             "max_lin_prob": prof.max_lin_prob,
         },
-        order=[
-            "bijective",
-            "involutive",
-            "lin",
-            "diff",
-            "branch_min",
-            "max_diff_prob",
-            "max_lin_prob",
-        ],
     )
     return 0
 
@@ -193,14 +183,6 @@ def cmd_personalize(args) -> int:
             "pool_digest": dev.envm.params.pool_digest.hex(),
             "index_draws": entropy.index_draws,
         },
-        order=[
-            "serial",
-            "lifecycle",
-            "rounds",
-            "feistel_r",
-            "pool_digest",
-            "index_draws",
-        ],
     )
     return 0
 
@@ -216,7 +198,6 @@ def cmd_boot(args) -> int:
             "rounds": dev.loaded.params.rounds,
             "feistel_r": dev.loaded.params.feistel_r,
         },
-        order=["serial", "loaded", "rounds", "feistel_r"],
     )
     return 0
 
@@ -257,7 +238,6 @@ def cmd_enroll(args) -> int:
             "pairs": len(record.pairs),
             "payload_bytes": record.payload_bytes,
         },
-        order=["serial", "pairs", "payload_bytes"],
     )
     return 0
 
@@ -274,8 +254,7 @@ def cmd_authenticate(args) -> int:
         channel = _FailingChannel(serial, str(exc))
     with store.lock_for(args.sn):
         record = store.load(args.sn)
-        fn = authority.inverse_authenticate if args.inverse else authority.authenticate
-        result = fn(channel, record)
+        result = authority.authenticate(channel, record, inverse=args.inverse)
         store.save(record)
     print(result.value)
     return 0 if result is authority.AuthResult.ACCEPTED else 1
@@ -352,18 +331,14 @@ def cmd_agent(args) -> int:
 
 
 def cmd_avalanche(args) -> int:
-    pool = (
-        read_pool(args.pool)
-        if args.pool
-        else build_pool(256, SeededEntropy(args.seed if args.seed is not None else 0))
-    )
+    pool = _pool(args)
     cfg = analysis.AvalancheConfig(
         suc_count=args.sucs,
         trials_per_suc=args.trials,
         rounds=args.rounds,
         feistel_r=args.feistel_r,
         sbox_mode=args.sbox_mode,
-        seed=args.seed if args.seed is not None else 0,
+        seed=_seed(args),
     )
     result = analysis.avalanche_histogram(cfg, pool)
     gof = analysis.chi_square_binomial(result.counts)
@@ -394,23 +369,18 @@ def cmd_avalanche(args) -> int:
             "chi2_p_value": gof.p_value,
             "out": args.out,
         },
-        order=["mean", "stddev", "total", "chi2_p_value", "out"],
     )
     return 0
 
 
 def cmd_avalanche_rounds(args) -> int:
-    pool = (
-        read_pool(args.pool)
-        if args.pool
-        else build_pool(256, SeededEntropy(args.seed if args.seed is not None else 0))
-    )
+    pool = _pool(args)
     cfg = analysis.AvalancheConfig(
         suc_count=args.sucs,
         trials_per_suc=args.trials,
         feistel_r=args.feistel_r,
         sbox_mode=args.sbox_mode,
-        seed=args.seed if args.seed is not None else 0,
+        seed=_seed(args),
     )
     rows = analysis.avalanche_vs_rounds(cfg, pool, args.rounds_from, args.rounds_to)
     if args.out:
@@ -458,7 +428,7 @@ def cmd_cost_model(args) -> int:
         "cipher_us_at_50mhz": analysis.hardware_latency_anchor(50, consts),
         "cipher_us_at_200mhz": analysis.hardware_latency_anchor(200, consts),
     }
-    _emit(args, payload, order=list(payload))
+    _emit(args, payload)
     return 0
 
 
@@ -469,49 +439,28 @@ def cmd_cardinality(args) -> int:
         "class_log2": class_log2_cardinality(args.r, args.set_size),
         "suc_log2": suc_log2_cardinality(args.r, args.set_size),
     }
-    _emit(args, payload, order=["r", "set_size", "class_log2", "suc_log2"])
+    _emit(args, payload)
     return 0
 
 
 def cmd_bound_report(args) -> int:
-    pool = (
-        read_pool(args.pool)
-        if args.pool
-        else build_pool(256, SeededEntropy(args.seed if args.seed is not None else 0))
-    )
+    pool = _pool(args)
     report = analysis.bound_report(
         pool,
         count=args.count,
         feistel_r=args.feistel_r,
-        seed=args.seed if args.seed is not None else 0,
+        seed=_seed(args),
     )
+    summary = {
+        "count": report.count,
+        "bound": report.bound,
+        "frac_diff_exceeding": report.frac_diff_exceeding,
+        "frac_lin_exceeding": report.frac_lin_exceeding,
+    }
     if args.out:
-        import csv as _csv
-
-        with open(args.out, "w", newline="") as f:
-            w = _csv.writer(f)
-            w.writerow(["index", "max_diff_prob", "max_lin_prob"])
-            for i, (d, l) in enumerate(zip(report.diff_probs, report.lin_probs)):
-                w.writerow([i, d, l])
-        analysis.write_summary_json(
-            {
-                "count": report.count,
-                "bound": report.bound,
-                "frac_diff_exceeding": report.frac_diff_exceeding,
-                "frac_lin_exceeding": report.frac_lin_exceeding,
-            },
-            analysis.sidecar_path(args.out),
-        )
-    _emit(
-        args,
-        {
-            "count": report.count,
-            "bound": report.bound,
-            "frac_diff_exceeding": report.frac_diff_exceeding,
-            "frac_lin_exceeding": report.frac_lin_exceeding,
-        },
-        order=["count", "bound", "frac_diff_exceeding", "frac_lin_exceeding"],
-    )
+        analysis.write_bound_csv(report, args.out)
+        analysis.write_summary_json(summary, analysis.sidecar_path(args.out))
+    _emit(args, summary)
     return 0
 
 

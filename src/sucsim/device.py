@@ -12,7 +12,7 @@ byte concatenation under the device key with authenticated encryption,
 and flips the lifecycle flag. Every boot thereafter unseals the tables,
 revalidates them, and loads the cipher instance into volatile state.
 
-The envm text format is deliberately strict (fixed key order, lowercase
+The envm record is a strict `records` file (fixed key order, lowercase
 hex only) so that any single-byte corruption of the file is detected at
 parse time or by the authentication tag.
 """
@@ -20,7 +20,6 @@ parse time or by the authentication tag.
 from __future__ import annotations
 
 import os
-import re
 from dataclasses import dataclass, replace
 
 from cryptography.exceptions import InvalidTag
@@ -28,6 +27,7 @@ from cryptography.hazmat.primitives import hashes
 from cryptography.hazmat.primitives.ciphers.aead import AESGCM
 from cryptography.hazmat.primitives.kdf.hkdf import HKDF
 
+from . import records
 from .cipher import SucInstance, SucParams, draw_instance
 from .entropy import EntropySource, SystemEntropy
 from .errors import DeviceError, IntegrityError, LifecycleError
@@ -43,8 +43,8 @@ LIFECYCLE_BLANK = "blank"
 LIFECYCLE_PERSONALIZED = "personalized"
 
 _KDF_SALT = b"sucsim.device-key.v1"
-_HEX_RE = re.compile(r"\A[0-9a-f]*\Z")
-_INT_RE = re.compile(r"\A[0-9]+\Z")
+_HEAD_KEYS = ("serial", "lifecycle")
+_SEALED_KEYS = ("rounds", "feistel_r", "pool_digest", "nonce", "ciphertext", "tag")
 
 
 @dataclass(frozen=True)
@@ -71,12 +71,18 @@ class DeviceState:
     loaded: SucInstance | None = None
 
 
+def _device_file(directory, serial: str, suffix: str) -> str:
+    if not records.SERIAL_RE.match(serial):
+        raise DeviceError(f"invalid serial {serial[:80]!r}")
+    return os.path.join(directory, serial + suffix)
+
+
 def silicon_path(directory, serial: str) -> str:
-    return os.path.join(directory, f"{serial}.silicon")
+    return _device_file(directory, serial, ".silicon")
 
 
 def envm_path(directory, serial: str) -> str:
-    return os.path.join(directory, f"{serial}.envm")
+    return _device_file(directory, serial, ".envm")
 
 
 def derive_device_key(dev: DeviceState) -> bytes:
@@ -192,59 +198,42 @@ def power_off(dev: DeviceState) -> None:
 # ---------------------------------------------------------------------------
 # envm file format
 
-def _render_envm(dev: DeviceState) -> str:
-    lines = [f"serial: {dev.serial}", f"lifecycle: {dev.envm.lifecycle}"]
+def save_envm(dev: DeviceState, directory) -> None:
+    fields = {"serial": dev.serial, "lifecycle": dev.envm.lifecycle}
     if dev.envm.lifecycle == LIFECYCLE_PERSONALIZED:
         p, b = dev.envm.params, dev.envm.blob
-        lines += [
-            f"rounds: {p.rounds}",
-            f"feistel_r: {p.feistel_r}",
-            f"pool_digest: {p.pool_digest.hex()}",
-            f"nonce: {b.nonce.hex()}",
-            f"ciphertext: {b.ciphertext.hex()}",
-            f"tag: {b.tag.hex()}",
-        ]
-    return "\n".join(lines) + "\n"
+        fields.update(
+            rounds=p.rounds,
+            feistel_r=p.feistel_r,
+            pool_digest=p.pool_digest.hex(),
+            nonce=b.nonce.hex(),
+            ciphertext=b.ciphertext.hex(),
+            tag=b.tag.hex(),
+        )
+    records.write(envm_path(directory, dev.serial), fields)
 
 
-def save_envm(dev: DeviceState, directory) -> None:
-    path = envm_path(directory, dev.serial)
-    tmp = path + ".tmp"
-    with open(tmp, "w", encoding="ascii") as f:
-        f.write(_render_envm(dev))
-    os.replace(tmp, path)
-
-
-def _parse_kv(text: str, expected_keys) -> dict:
-    lines = [ln for ln in text.split("\n") if ln != ""]
-    if len(lines) != len(expected_keys):
-        raise IntegrityError("envm record has unexpected structure")
-    fields = {}
-    for line, want_key in zip(lines, expected_keys):
-        if ": " not in line:
-            raise IntegrityError("envm line missing separator")
-        key, value = line.split(": ", 1)
-        if key != want_key:
-            raise IntegrityError(f"envm field {key!r} unexpected")
-        fields[key] = value
-    return fields
-
-
-def _hex_field(fields: dict, key: str, nbytes: int | None = None) -> bytes:
-    value = fields[key]
-    if not _HEX_RE.match(value) or len(value) % 2:
-        raise IntegrityError(f"envm field {key!r} is not canonical hex")
-    raw = bytes.fromhex(value)
-    if nbytes is not None and len(raw) != nbytes:
-        raise IntegrityError(f"envm field {key!r} has wrong length")
-    return raw
-
-
-def _int_field(fields: dict, key: str) -> int:
-    value = fields[key]
-    if not _INT_RE.match(value):
-        raise IntegrityError(f"envm field {key!r} is not a decimal integer")
-    return int(value)
+def _parse_envm(lines: list, serial: str) -> Envm:
+    head = records.fields(lines[:2], _HEAD_KEYS)
+    if head["serial"] != serial:
+        raise ValueError(f"envm serial {head['serial']!r} does not match {serial!r}")
+    if head["lifecycle"] == LIFECYCLE_BLANK:
+        records.fields(lines[2:], ())  # a blank record ends after its head
+        return Envm()
+    if head["lifecycle"] != LIFECYCLE_PERSONALIZED:
+        raise ValueError(f"envm lifecycle {head['lifecycle']!r} unknown")
+    f = records.fields(lines[2:], _SEALED_KEYS)
+    params = SucParams(
+        rounds=records.int_field(f["rounds"]),
+        feistel_r=records.int_field(f["feistel_r"]),
+        pool_digest=records.hex_field(f["pool_digest"], 32),
+    )
+    blob = SealedBlob(
+        nonce=records.hex_field(f["nonce"], NONCE_BYTES),
+        ciphertext=records.hex_field(f["ciphertext"], TABLES_BYTES),
+        tag=records.hex_field(f["tag"], TAG_BYTES),
+    )
+    return Envm(lifecycle=LIFECYCLE_PERSONALIZED, params=params, blob=blob)
 
 
 def load_device(directory, serial: str) -> DeviceState:
@@ -259,58 +248,11 @@ def load_device(directory, serial: str) -> DeviceState:
 
     epath = envm_path(directory, serial)
     try:
-        with open(epath, "rb") as f:
-            raw = f.read()
+        envm = _parse_envm(records.read(epath), serial)
     except FileNotFoundError:
         raise DeviceError(f"envm record missing: {epath}") from None
-    try:
-        text = raw.decode("ascii")
-    except UnicodeDecodeError as exc:
-        raise IntegrityError("envm record is not ascii text") from exc
-
-    head = text.split("\n", 2)
-    if len(head) < 2 or not head[1].startswith("lifecycle: "):
-        raise IntegrityError("envm record has unexpected structure")
-    state = head[1][len("lifecycle: ") :]
-
-    if state == LIFECYCLE_BLANK:
-        fields = _parse_kv(text, ["serial", "lifecycle"])
-        envm = Envm()
-    elif state == LIFECYCLE_PERSONALIZED:
-        fields = _parse_kv(
-            text,
-            [
-                "serial",
-                "lifecycle",
-                "rounds",
-                "feistel_r",
-                "pool_digest",
-                "nonce",
-                "ciphertext",
-                "tag",
-            ],
-        )
-        try:
-            params = SucParams(
-                rounds=_int_field(fields, "rounds"),
-                feistel_r=_int_field(fields, "feistel_r"),
-                pool_digest=_hex_field(fields, "pool_digest", 32),
-            )
-        except ValueError as exc:
-            raise IntegrityError(f"envm parameters invalid: {exc}") from exc
-        blob = SealedBlob(
-            nonce=_hex_field(fields, "nonce", NONCE_BYTES),
-            ciphertext=_hex_field(fields, "ciphertext", TABLES_BYTES),
-            tag=_hex_field(fields, "tag", TAG_BYTES),
-        )
-        envm = Envm(lifecycle=LIFECYCLE_PERSONALIZED, params=params, blob=blob)
-    else:
-        raise IntegrityError(f"envm lifecycle {state!r} unknown")
-
-    if fields["serial"] != serial:
-        raise IntegrityError(
-            f"envm serial {fields['serial']!r} does not match {serial!r}"
-        )
+    except ValueError as exc:
+        raise IntegrityError(f"envm record invalid: {exc}") from exc
     return DeviceState(serial=serial, silicon_seed=seed, envm=envm)
 
 

@@ -26,11 +26,11 @@ import threading
 import time
 from dataclasses import dataclass, field
 
-from . import authority
+from . import authority, records
 from .authority import AuthResult, UirStore
 from .cipher import apply
 from .entropy import EntropySource, SystemEntropy
-from .errors import ChannelError, FrameError, ProtocolError
+from .errors import ChannelError, FrameError, ProtocolError, SucError
 
 log = logging.getLogger("sucsim.netlink")
 
@@ -210,9 +210,11 @@ class TaService:
     def stop(self) -> None:
         self._stopping.set()
         try:
-            self._listener.close()
+            # close() alone does not wake a thread blocked in accept()
+            self._listener.shutdown(socket.SHUT_RDWR)
         except OSError:
-            pass
+            pass  # already shut down
+        self._listener.close()
         if self._accept_thread is not None:
             self._accept_thread.join(timeout=5)
         for t in self._threads:
@@ -247,13 +249,15 @@ class TaService:
             hello = channel.recv()
             if hello.kind != FrameKind.HELLO:
                 raise ProtocolError(f"expected HELLO, got {hello.kind.name}")
-            serial = hello.payload.decode("utf-8")
+            serial = hello.payload.decode("utf-8", "replace")
+            if not records.SERIAL_RE.match(serial):
+                raise FrameError(f"HELLO carries an invalid serial {serial[:80]!r}")
             channel.send(Frame(FrameKind.HELLO_ACK))
             if self.store.has(serial):
                 self._run_authentication(channel, serial)
             else:
                 self._run_enrollment(channel, serial)
-        except (FrameError, ProtocolError, ChannelError, OSError) as exc:
+        except (SucError, OSError) as exc:
             log.warning("session with %s aborted: %s", peer, exc)
             try:
                 channel.send(Frame(FrameKind.ERROR, str(exc).encode()))

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import hashlib
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .entropy import EntropySource
 from .errors import PoolFormatError, SearchBudgetExceeded
@@ -160,14 +160,9 @@ def sample_serpent_type(
 
 @dataclass(frozen=True)
 class SBoxPool:
-    """Ordered collection of distinct verified Serpent-type S-boxes.
-
-    seed_note is in-memory provenance only; the file format carries the
-    entries and their content digest.
-    """
+    """Ordered collection of distinct verified Serpent-type S-boxes."""
 
     entries: tuple
-    seed_note: str = field(default="", compare=False)
 
     @property
     def count(self) -> int:
@@ -186,9 +181,7 @@ def pool_digest(entries) -> bytes:
     return h.digest()
 
 
-def build_pool(
-    count: int, entropy: EntropySource, seed_note: str = ""
-) -> SBoxPool:
+def build_pool(count: int, entropy: EntropySource) -> SBoxPool:
     """Generate `count` pairwise-distinct Serpent-type S-boxes."""
     if count < 1:
         raise ValueError("count must be >= 1")
@@ -207,7 +200,7 @@ def build_pool(
             continue
         seen.add(t)
         entries.append(t)
-    return SBoxPool(entries=tuple(entries), seed_note=seed_note)
+    return SBoxPool(entries=tuple(entries))
 
 
 def write_pool(pool: SBoxPool, path) -> None:

@@ -46,11 +46,9 @@ class FeistelSpec:
 
 @dataclass(frozen=True)
 class SBox8:
-    """256-entry byte substitution with optional construction provenance."""
+    """256-entry byte substitution."""
 
     table: tuple
-    feistel_r: int | None = None
-    free: tuple | None = None
 
     def __post_init__(self):
         t = tuple(int(v) for v in self.table)
@@ -84,7 +82,7 @@ def feistel8(spec: FeistelSpec) -> SBox8:
             else:
                 right ^= s[left]
         table.append((left << 4) | right)
-    return SBox8(table=tuple(table), feistel_r=spec.r, free=spec.free)
+    return SBox8(table=tuple(table))
 
 
 @dataclass(frozen=True)
@@ -112,18 +110,10 @@ class SBoxProfile8:
         return (self.lin / 256.0) ** 2
 
 
-_BIT_PARITY = None
-
-
-def _parity_table() -> np.ndarray:
-    global _BIT_PARITY
-    if _BIT_PARITY is None:
-        v = np.arange(256, dtype=np.uint16)
-        p = v.copy()
-        for shift in (4, 2, 1):
-            p ^= p >> shift
-        _BIT_PARITY = (p & 1).astype(np.int8)
-    return _BIT_PARITY
+# Hamming weight of every byte value; its low bit is the parity.
+POPCOUNT = np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1).sum(
+    axis=1
+).astype(np.int64)
 
 
 def profile8(sbox) -> SBoxProfile8:
@@ -147,9 +137,8 @@ def profile8(sbox) -> SBoxProfile8:
 
     # Walsh spectrum: per output mask b, signs (-1)^{b.S(x)} transformed
     # over x by a fast Walsh-Hadamard pass evaluates all input masks a.
-    parity = _parity_table()
     b = np.arange(1, 256, dtype=np.int64)
-    signs = 1 - 2 * parity[(b[:, None] & t[None, :])].astype(np.int64)
+    signs = 1 - 2 * (POPCOUNT[b[:, None] & t[None, :]] & 1)
     w = signs
     h = 1
     while h < 256:
@@ -161,9 +150,8 @@ def profile8(sbox) -> SBoxProfile8:
     w = w.reshape(255, 256)
     lin = int(np.abs(w).max())
 
-    hw = np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1).sum(axis=1)
     branch_min = int(
-        min(hw[t[x] ^ t[x ^ (1 << j)]].min() for j in range(8))
+        min(POPCOUNT[t[x] ^ t[x ^ (1 << j)]].min() for j in range(8))
     )
     return SBoxProfile8(
         bijective=bijective,

@@ -14,13 +14,13 @@ from sucsim.sbox4 import build_pool
 
 @pytest.fixture(scope="session")
 def pool32():
-    return build_pool(32, SeededEntropy(7), seed_note="seed=7")
+    return build_pool(32, SeededEntropy(7))
 
 
 @pytest.fixture(scope="session")
 def pool256_timed():
     started = time.perf_counter()
-    pool = build_pool(256, SeededEntropy(0), seed_note="seed=0")
+    pool = build_pool(256, SeededEntropy(0))
     return pool, time.perf_counter() - started
 
 

@@ -16,7 +16,6 @@ from sucsim.authority import (
     UirStore,
     authenticate,
     enroll,
-    inverse_authenticate,
 )
 from sucsim.cipher import SucParams, apply
 from sucsim.entropy import RecordedEntropy, SeededEntropy
@@ -121,7 +120,7 @@ def test_dead_channel_is_rejected_and_still_burns_the_pair(make_device):
     real = booted_channel(make_device)
     record = enroll(real, 2, SeededEntropy(0))
     assert authenticate(DeadChannel("dev01"), record) is AuthResult.REJECTED
-    assert inverse_authenticate(DeadChannel("dev01"), record) is AuthResult.REJECTED
+    assert authenticate(DeadChannel("dev01"), record, inverse=True) is AuthResult.REJECTED
     assert authenticate(real, record) is AuthResult.EXHAUSTED
 
 
@@ -129,8 +128,8 @@ def test_inverse_authentication_accepts_the_real_device(make_device):
     channel = booted_channel(make_device)
     record = enroll(channel, 6, SeededEntropy(0))
     for _ in range(6):
-        assert inverse_authenticate(channel, record) is AuthResult.ACCEPTED
-    assert inverse_authenticate(channel, record) is AuthResult.EXHAUSTED
+        assert authenticate(channel, record, inverse=True) is AuthResult.ACCEPTED
+    assert authenticate(channel, record, inverse=True) is AuthResult.EXHAUSTED
 
 
 def test_forward_cannot_tell_a_bijection_from_an_involution():
@@ -143,8 +142,8 @@ def test_forward_cannot_tell_a_bijection_from_an_involution():
     record = enroll(channel, 4, SeededEntropy(3))
     assert authenticate(channel, record) is AuthResult.ACCEPTED
     # h(h(x)) = x + 2 != x, so the reversed handshake exposes it
-    assert inverse_authenticate(channel, record) is AuthResult.REJECTED
-    assert inverse_authenticate(channel, record) is AuthResult.REJECTED
+    assert authenticate(channel, record, inverse=True) is AuthResult.REJECTED
+    assert authenticate(channel, record, inverse=True) is AuthResult.REJECTED
 
 
 def test_exhausted_record_never_touches_the_channel():
@@ -207,12 +206,25 @@ def test_store_rejects_malformed_records(tmp_path):
         "garbage\n",
         "serial: bad\ncreated_at: t\nrounds: 15\nfeistel_r: 3\n",  # no digest
         "serial: other\ncreated_at: t\nrounds: 15\nfeistel_r: 3\npool_digest: 00\n",
+        "serial: bad\ncreated_at: t\nrounds: abc\nfeistel_r: 3\npool_digest: \n",
+        "serial: bad\ncreated_at: t\nrounds: 0\nfeistel_r: 3\npool_digest: \n",
+        "serial: bad\ncreated_at: t\nrounds: 15\nfeistel_r: 3\npool_digest: 123\n",
+        "created_at: t\nserial: bad\nrounds: 15\nfeistel_r: 3\npool_digest: \n",
     ]
     for text in cases:
         with open(path, "w") as f:
             f.write(text)
         with pytest.raises(EnrollmentError):
             store.load("bad")
+
+
+@pytest.mark.parametrize("serial", ["../escaped", "", ".hidden", "a/b", "x" * 65])
+def test_store_refuses_unsafe_serials(tmp_path, serial):
+    store = UirStore(tmp_path / "uir")
+    record = enroll(FnChannel(serial, lambda b: b), 1, SeededEntropy(0))
+    with pytest.raises(EnrollmentError, match="invalid serial"):
+        store.create(record)
+    assert [p.name for p in tmp_path.rglob("*")] == ["uir"]
 
 
 def test_store_pair_lines_are_strict(tmp_path):

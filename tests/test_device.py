@@ -171,6 +171,13 @@ def test_reinit_requires_personalization(tmp_path):
         device.reinit(dev)
 
 
+@pytest.mark.parametrize("serial", ["../escaped", "", "a/b"])
+def test_device_files_refuse_unsafe_serials(tmp_path, serial):
+    with pytest.raises(DeviceError, match="invalid serial"):
+        device.manufacture(str(tmp_path / "dev"), serial, SeededEntropy(1))
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_boot_missing_files(tmp_path):
     with pytest.raises(DeviceError, match="fingerprint unavailable"):
         device.load_device(str(tmp_path), "ghost")

@@ -7,6 +7,7 @@ loopback sockets.
 
 import socket
 import threading
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -227,6 +228,32 @@ def test_service_survives_garbage_connections(tmp_path, booted):
         # a clean session still works afterwards
         outcome = run_agent(dev, svc.address)
         assert outcome.enrolled == 2
+
+
+@pytest.mark.parametrize("payload", [b"../escaped", b"", b"\xff\xfedev01"])
+def test_hello_with_a_bad_serial_gets_an_error_frame(tmp_path, monkeypatch, payload):
+    crashes = []
+    monkeypatch.setattr(threading, "excepthook", crashes.append)
+    store = UirStore(tmp_path / "uir")
+    with TaService(store, enroll_pairs=2, entropy=SeededEntropy(0)) as svc:
+        with socket.create_connection(svc.address, timeout=5) as sock:
+            channel = netlink.FrameChannel(sock)
+            channel.send(Frame(FrameKind.HELLO, payload))
+            reply = channel.recv()
+    assert reply.kind is FrameKind.ERROR
+    assert crashes == []
+    assert [p.name for p in tmp_path.rglob("*")] == ["uir"]
+
+
+def test_stop_returns_promptly(tmp_path):
+    svc = TaService(UirStore(tmp_path / "uir"))
+    svc.start()
+    time.sleep(0.2)  # let the accept thread block in accept()
+    started = time.perf_counter()
+    svc.stop()
+    assert time.perf_counter() - started < 1.0
+    svc._accept_thread.join(timeout=5)
+    assert not svc._accept_thread.is_alive()
 
 
 def test_agent_refuses_oversized_challenge(tmp_path, booted):

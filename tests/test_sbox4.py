@@ -15,7 +15,6 @@ from hypothesis import given, settings, strategies as st
 from sucsim.entropy import RecordedEntropy, SeededEntropy
 from sucsim.errors import EntropyExhausted, PoolFormatError, SearchBudgetExceeded
 from sucsim.sbox4 import (
-    SBoxPool,
     build_pool,
     check_table4,
     is_serpent_type,
@@ -271,7 +270,3 @@ def test_pool_file_rejects_digest_corruption(tmp_path, pool32):
     path, blob = _pool_file(tmp_path, pool32)
     blob[-1] ^= 0x01
     _expect_format_error(path, blob)
-
-
-def test_pool_equality_ignores_seed_note(pool32):
-    assert SBoxPool(entries=pool32.entries, seed_note="other") == pool32
