@@ -153,11 +153,10 @@ class UirStore:
         return os.path.exists(self._path(serial))
 
     def serials(self) -> list:
-        return sorted(
-            name[: -len(".uir")]
-            for name in os.listdir(self.directory)
-            if name.endswith(".uir")
-        )
+        # a stray file whose stem is not a serial is no record: skip it
+        names = os.listdir(self.directory)
+        stems = (n[: -len(".uir")] for n in names if n.endswith(".uir"))
+        return sorted(s for s in stems if records.SERIAL_RE.match(s))
 
     def save(self, record: UirRecord) -> None:
         header = {

@@ -21,6 +21,7 @@ from __future__ import annotations
 import enum
 import logging
 import socket
+import socketserver
 import struct
 import threading
 import time
@@ -166,12 +167,29 @@ class _SessionChannel:
         return frame.payload
 
 
+class _SessionServer(socketserver.ThreadingTCPServer):
+    """One thread per session; each accept reaps the finished ones."""
+
+    allow_reuse_address = True
+    request_queue_size = min(socket.SOMAXCONN, 128)  # listen()'s own default
+
+    def __init__(self, listen: tuple, serve_session) -> None:
+        super().__init__(listen, None)
+        self.serve_session = serve_session
+
+    def finish_request(self, request, client_address) -> None:
+        self.serve_session(request, client_address)
+
+    def handle_error(self, request, client_address) -> None:
+        log.exception("session with %s crashed", client_address)
+
+
 class TaService:
     """Threaded authority endpoint.
 
     Unknown serials are enrolled with `enroll_pairs` challenges on first
-    contact; known serials get one authentication per session. Wall-clock
-    seconds per authentication are kept in `auth_log`.
+    contact; known serials get one authentication per session, whose
+    result and wall-clock time are logged.
     """
 
     def __init__(
@@ -186,12 +204,9 @@ class TaService:
         self.enroll_pairs = enroll_pairs
         self.entropy = entropy or SystemEntropy()
         self.timeout = timeout
-        self.auth_log: list = []
-        self._listener = socket.create_server(listen)
-        self.address = self._listener.getsockname()
-        self._threads: list = []
+        self._server = _SessionServer(listen, self._serve_session)
+        self.address = self._server.server_address
         self._accept_thread: threading.Thread | None = None
-        self._stopping = threading.Event()
 
     def __enter__(self) -> "TaService":
         self.start()
@@ -202,45 +217,25 @@ class TaService:
 
     def start(self) -> None:
         self._accept_thread = threading.Thread(
-            target=self._accept_loop, name="ta-accept", daemon=True
+            target=self._server.serve_forever, name="ta-accept", daemon=True
         )
         self._accept_thread.start()
         log.info("authority listening on %s:%d", *self.address[:2])
 
     def stop(self) -> None:
-        self._stopping.set()
-        try:
-            # close() alone does not wake a thread blocked in accept()
-            self._listener.shutdown(socket.SHUT_RDWR)
-        except OSError:
-            pass  # already shut down
-        self._listener.close()
+        """Stop accepting, then wait for the sessions in flight."""
         if self._accept_thread is not None:
-            self._accept_thread.join(timeout=5)
-        for t in self._threads:
-            t.join(timeout=5)
+            self._server.shutdown()  # blocks forever unless serve_forever runs
+        self._server.server_close()
 
     def serve_forever(self) -> None:
         self.start()
         try:
-            while not self._stopping.wait(0.5):
-                pass
+            self._accept_thread.join()
         except KeyboardInterrupt:
             pass
         finally:
             self.stop()
-
-    def _accept_loop(self) -> None:
-        while not self._stopping.is_set():
-            try:
-                conn, peer = self._listener.accept()
-            except OSError:
-                break
-            t = threading.Thread(
-                target=self._serve_session, args=(conn, peer), daemon=True
-            )
-            t.start()
-            self._threads.append(t)
 
     def _serve_session(self, conn: socket.socket, peer) -> None:
         conn.settimeout(self.timeout)
@@ -263,11 +258,6 @@ class TaService:
                 channel.send(Frame(FrameKind.ERROR, str(exc).encode()))
             except (ChannelError, OSError):
                 pass
-        finally:
-            try:
-                conn.close()
-            except OSError:
-                pass
 
     def _run_enrollment(self, channel: FrameChannel, serial: str) -> None:
         t = self.enroll_pairs
@@ -284,7 +274,6 @@ class TaService:
             result = authority.authenticate(_SessionChannel(serial, channel), record)
             self.store.save(record)
         elapsed = time.perf_counter() - started
-        self.auth_log.append((serial, result, elapsed))
         log.info("auth %s: %s (%.1f ms)", serial, result.value, elapsed * 1e3)
         channel.send(
             Frame(FrameKind.AUTH_RESULT, bytes([_STATUS_BYTE[result]]))

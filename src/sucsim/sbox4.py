@@ -54,7 +54,7 @@ class SBoxProfile:
     branch_min: int
 
 
-def _walsh_max_4(table, cutoff: int | None = None) -> int:
+def _walsh_max_4(table) -> int:
     # One length-16 Walsh-Hadamard transform per output mask b. The
     # transform of (-1)^{b.S(x)} evaluates all input masks a at once.
     best = 0
@@ -70,8 +70,6 @@ def _walsh_max_4(table, cutoff: int | None = None) -> int:
         m = max(abs(v) for v in w)
         if m > best:
             best = m
-            if cutoff is not None and best > cutoff:
-                return best
     return best
 
 

@@ -248,6 +248,8 @@ def test_store_stats(tmp_path, make_device):
     authenticate(channel, record)
     authenticate(channel, record)
     store.create(record)
+    for stray in (".uir", "a b.uir"):  # stems that are not serials
+        (tmp_path / "uir" / stray).write_text("not a record\n")
     assert store.stats() == [("dev01", 4, 2, 2)]
     assert store.serials() == ["dev01"]
     assert store.has("dev01") and not store.has("dev02")

@@ -5,6 +5,8 @@ decoder's only failure mode is FrameError. Service tests run real
 loopback sockets.
 """
 
+import gc
+import logging
 import socket
 import threading
 import time
@@ -134,6 +136,22 @@ def booted(make_device):
     return boot
 
 
+def logged_results(caplog):
+    """Results of the service's `auth %s: %s` log lines, in order."""
+    return [
+        AuthResult(r.args[1])
+        for r in caplog.records
+        if r.name == "sucsim.netlink" and r.msg.startswith("auth %s: %s")
+    ]
+
+
+def netlink_errors(caplog):
+    return [
+        r for r in caplog.records
+        if r.name == "sucsim.netlink" and r.levelno >= logging.ERROR
+    ]
+
+
 def test_first_contact_enrolls(tmp_path, booted):
     dev = booted()
     store = UirStore(tmp_path / "uir")
@@ -148,7 +166,8 @@ def test_first_contact_enrolls(tmp_path, booted):
         assert not p.used
 
 
-def test_known_device_authenticates_until_exhausted(tmp_path, booted):
+def test_known_device_authenticates_until_exhausted(tmp_path, booted, caplog):
+    caplog.set_level(logging.INFO, logger="sucsim.netlink")
     dev = booted()
     store = UirStore(tmp_path / "uir")
     with TaService(store, enroll_pairs=4, entropy=SeededEntropy(0)) as svc:
@@ -159,7 +178,7 @@ def test_known_device_authenticates_until_exhausted(tmp_path, booted):
             assert outcome.answered == 1
         outcome = run_agent(dev, svc.address)
         assert outcome.result is AuthResult.EXHAUSTED
-    results = [r for _, r, _ in svc.auth_log]
+    results = logged_results(caplog)
     assert results == [AuthResult.ACCEPTED] * 4 + [AuthResult.EXHAUSTED]
 
 
@@ -176,7 +195,8 @@ def test_impostor_device_is_rejected(tmp_path, booted):
     assert store.load("dev01").unused_count == 3  # the pair burned anyway
 
 
-def test_unbootable_device_is_rejected(tmp_path, booted, make_device):
+def test_unbootable_device_is_rejected(tmp_path, booted, make_device, caplog):
+    caplog.set_level(logging.INFO, logger="sucsim.netlink")
     dev = booted(serial="dev01", seed=1)
     store = UirStore(tmp_path / "uir")
     with TaService(store, enroll_pairs=2, entropy=SeededEntropy(0)) as svc:
@@ -186,7 +206,7 @@ def test_unbootable_device_is_rejected(tmp_path, booted, make_device):
         assert outcome.error == "device not initialized"
         assert not outcome.ok
     assert store.load("dev01").unused_count == 1
-    assert svc.auth_log[-1][1] is AuthResult.REJECTED
+    assert logged_results(caplog)[-1] is AuthResult.REJECTED
 
 
 def test_concurrent_agents(tmp_path, booted):
@@ -231,7 +251,9 @@ def test_service_survives_garbage_connections(tmp_path, booted):
 
 
 @pytest.mark.parametrize("payload", [b"../escaped", b"", b"\xff\xfedev01"])
-def test_hello_with_a_bad_serial_gets_an_error_frame(tmp_path, monkeypatch, payload):
+def test_hello_with_a_bad_serial_gets_an_error_frame(
+    tmp_path, monkeypatch, caplog, payload
+):
     crashes = []
     monkeypatch.setattr(threading, "excepthook", crashes.append)
     store = UirStore(tmp_path / "uir")
@@ -243,17 +265,68 @@ def test_hello_with_a_bad_serial_gets_an_error_frame(tmp_path, monkeypatch, payl
     assert reply.kind is FrameKind.ERROR
     assert crashes == []
     assert [p.name for p in tmp_path.rglob("*")] == ["uir"]
+    assert netlink_errors(caplog) == []
+
+
+def test_a_crashing_session_is_logged_and_the_service_goes_on(
+    tmp_path, booted, monkeypatch, caplog
+):
+    def broken_has(serial):
+        raise RuntimeError("disk on fire")
+
+    dev = booted()
+    store = UirStore(tmp_path / "uir")
+    with TaService(store, enroll_pairs=2, entropy=SeededEntropy(0)) as svc:
+        monkeypatch.setattr(store, "has", broken_has)
+        assert run_agent(dev, svc.address).enrolled == 0
+        monkeypatch.undo()
+        outcome = run_agent(dev, svc.address)
+    assert outcome.enrolled == 2
+    [error] = netlink_errors(caplog)
+    assert error.exc_info[0] is RuntimeError
+
+
+def heap_threads():
+    gc.collect()
+    return sum(isinstance(o, threading.Thread) for o in gc.get_objects())
+
+
+def test_service_retains_no_thread_per_session(tmp_path, booted):
+    dev = booted()
+    store = UirStore(tmp_path / "uir")
+    with TaService(store, enroll_pairs=32, entropy=SeededEntropy(0)) as svc:
+        idle = threading.active_count()
+
+        def session():
+            outcome = run_agent(dev, svc.address)
+            # wait for the session thread to end, so the next accept
+            # finds every earlier one finished
+            deadline = time.monotonic() + 5
+            while threading.active_count() > idle and time.monotonic() < deadline:
+                time.sleep(0.005)
+            assert threading.active_count() == idle
+            return outcome
+
+        assert session().enrolled == 32
+        before = heap_threads()
+        for _ in range(20):
+            assert session().result is AuthResult.ACCEPTED
+        assert heap_threads() <= before
 
 
 def test_stop_returns_promptly(tmp_path):
     svc = TaService(UirStore(tmp_path / "uir"))
     svc.start()
-    time.sleep(0.2)  # let the accept thread block in accept()
+    time.sleep(0.2)  # let the accept thread wait for connections
     started = time.perf_counter()
     svc.stop()
     assert time.perf_counter() - started < 1.0
     svc._accept_thread.join(timeout=5)
     assert not svc._accept_thread.is_alive()
+    never_started = TaService(UirStore(tmp_path / "uir"))
+    started = time.perf_counter()
+    never_started.stop()
+    assert time.perf_counter() - started < 1.0
 
 
 def test_agent_refuses_oversized_challenge(tmp_path, booted):
