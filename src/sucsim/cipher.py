@@ -12,8 +12,21 @@ and the layer sequence reads the same forwards and backwards, so with
 involutive S-boxes the whole cipher is an involution: applying it twice
 restores the input, and encryption equals decryption.
 
-Blocks are 8 bytes; hex encoding is byte 0 first. A numpy batch path
-processes (N, 8) arrays for the statistical harness.
+Both apply paths run the T-table form (Daemen & Rijmen, The Design of
+Rijndael, 2002). P is linear over XOR, so one round P o S of a block
+whose bytes are x_0 .. x_7 is the XOR over i of T[i][x_i], with
+
+    T[i][v] = P(S_i(v) << 8i)
+
+an (8, 256) table of 64-bit words derived once per instance. Since P
+is self-inverse, P o (P o S)^R = S o (P o S)^(R-1): the cipher is R
+table rounds followed by one bare P, and needs no separate table for
+the last substitution layer. p_layer and s_layer keep the layer-by-
+layer definition for tests to compare against.
+
+Blocks are 8 bytes; hex encoding is byte 0 first, and the 64-bit words
+are the blocks read little-endian. A numpy batch path processes (N, 8)
+arrays for the statistical harness.
 """
 
 from __future__ import annotations
@@ -63,14 +76,27 @@ class SucParams:
 
 # 8x8 bit transpose on a 64-bit word via three delta swaps; byte i of the
 # little-endian word is row i, bit j is column j, so bit 8i+j <-> 8j+i.
-def _transpose64(x: int) -> int:
+# Works on a Python int and, element-wise, on a uint64 array.
+def _transpose64(x):
     t = (x ^ (x >> 7)) & 0x00AA00AA00AA00AA
-    x ^= t ^ (t << 7)
+    x = x ^ t ^ (t << 7)
     t = (x ^ (x >> 14)) & 0x0000CCCC0000CCCC
-    x ^= t ^ (t << 14)
+    x = x ^ t ^ (t << 14)
     t = (x ^ (x >> 28)) & 0x00000000F0F0F0F0
-    x ^= t ^ (t << 28)
-    return x
+    return x ^ t ^ (t << 28)
+
+
+def _spread() -> np.ndarray:
+    """(8, 256) little-endian words with [i][v] = P(v << 8i)."""
+    j = np.arange(8, dtype=np.uint64)
+    v = np.arange(256, dtype=np.uint64)[:, None]
+    p_of_byte = np.bitwise_or.reduce(((v >> j) & 1) << (8 * j), axis=1)
+    return (p_of_byte[None, :] << j[:, None]).astype("<u8")
+
+
+_SPREAD = _spread()
+_BYTES = np.arange(256, dtype=np.uint8)
+_ROWS = np.arange(8)[:, None]
 
 
 def p_layer(block: bytes) -> bytes:
@@ -87,23 +113,31 @@ def s_layer(block: bytes, sboxes) -> bytes:
 
 @dataclass(frozen=True)
 class SucInstance:
-    """Eight involutive byte tables plus round parameters; immutable."""
+    """Eight involutive byte tables plus round parameters; immutable.
+
+    Derives the round table T[i][v] = P(S_i(v) << 8i) once: as an
+    (8, 256) uint64 array for apply_batch and as eight lists of ints
+    for apply.
+    """
 
     sboxes: tuple
     params: SucParams
-    _tables: np.ndarray = field(init=False, repr=False, compare=False)
+    _t: np.ndarray = field(init=False, repr=False, compare=False)
+    _rows: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.sboxes) != 8:
             raise ValueError("an instance needs exactly 8 S-boxes")
-        for i, s in enumerate(self.sboxes):
-            if not isinstance(s, SBox8):
-                raise TypeError("sboxes must be SBox8 values")
-            if not s.is_involution():
-                raise ValueError(f"S-box {i} is not an involution")
-        arr = np.array([s.table for s in self.sboxes], dtype=np.uint8)
-        arr.setflags(write=False)
-        object.__setattr__(self, "_tables", arr)
+        if not all(isinstance(s, SBox8) for s in self.sboxes):
+            raise TypeError("sboxes must be SBox8 values")
+        s = np.frombuffer(self.tables_blob(), dtype=np.uint8).reshape(8, 256)
+        bad = np.flatnonzero((s[_ROWS, s] != _BYTES).any(axis=1))
+        if bad.size:
+            raise ValueError(f"S-box {bad[0]} is not an involution")
+        t = _SPREAD[_ROWS, s]
+        t.setflags(write=False)
+        object.__setattr__(self, "_t", t)
+        object.__setattr__(self, "_rows", tuple(t.tolist()))
 
     def tables_blob(self) -> bytes:
         """The 2048-byte concatenation sealed into device storage."""
@@ -113,9 +147,14 @@ class SucInstance:
 def apply(suc: SucInstance, block: bytes) -> bytes:
     """Run the cipher; its own inverse."""
     b = check_block(block)
-    for _ in range(suc.params.rounds - 1):
-        b = p_layer(s_layer(b, suc.sboxes))
-    return s_layer(b, suc.sboxes)
+    t0, t1, t2, t3, t4, t5, t6, t7 = suc._rows
+    for _ in range(suc.params.rounds):
+        x = (
+            t0[b[0]] ^ t1[b[1]] ^ t2[b[2]] ^ t3[b[3]]
+            ^ t4[b[4]] ^ t5[b[5]] ^ t6[b[6]] ^ t7[b[7]]
+        )
+        b = x.to_bytes(8, "little")
+    return _transpose64(x).to_bytes(8, "little")
 
 
 def apply_batch(suc: SucInstance, blocks: np.ndarray) -> np.ndarray:
@@ -123,15 +162,14 @@ def apply_batch(suc: SucInstance, blocks: np.ndarray) -> np.ndarray:
     b = np.asarray(blocks, dtype=np.uint8)
     if b.ndim != 2 or b.shape[1] != 8:
         raise ValueError("blocks must have shape (N, 8)")
-    tables = suc._tables
-    cols = np.arange(8)[None, :]
-    n = b.shape[0]
-    for _ in range(suc.params.rounds - 1):
-        b = tables[cols, b]
-        bits = np.unpackbits(b, axis=1, bitorder="little")
-        bits = bits.reshape(n, 8, 8).transpose(0, 2, 1).reshape(n, 64)
-        b = np.packbits(bits, axis=1, bitorder="little")
-    return tables[cols, b]
+    x = np.ascontiguousarray(b).view("<u8").reshape(-1)
+    t = suc._t
+    for _ in range(suc.params.rounds):
+        cols = x.view(np.uint8).reshape(-1, 8)
+        x = np.take(t[0], cols[:, 0])
+        for i in range(1, 8):
+            x ^= np.take(t[i], cols[:, i])
+    return _transpose64(x).astype("<u8", copy=False).view(np.uint8).reshape(-1, 8)
 
 
 def draw_instance(

@@ -301,7 +301,8 @@ def run_agent(dev, address: tuple, timeout: float = 10.0) -> AgentOutcome:
 
     Answers CHALLENGE frames with the device cipher until the service
     closes the exchange. A device with nothing loaded answers ERROR, so
-    the service rejects it.
+    the service rejects it. A session that ends without ENROLL_END,
+    AUTH_RESULT or ERROR reports the error "session closed".
     """
     outcome = AgentOutcome(serial=dev.serial)
     started = time.perf_counter()
@@ -315,7 +316,8 @@ def run_agent(dev, address: tuple, timeout: float = 10.0) -> AgentOutcome:
             try:
                 frame = channel.recv()
             except ChannelError:
-                break  # service closed the session
+                outcome.error = "session closed"
+                break
             if frame.kind == FrameKind.CHALLENGE:
                 if dev.loaded is None:
                     channel.send(

@@ -51,10 +51,12 @@ class SBox8:
     table: tuple
 
     def __post_init__(self):
-        t = tuple(int(v) for v in self.table)
-        if len(t) != 256 or any(v < 0 or v > 255 for v in t):
+        # bytes() takes only ints in [0, 255]; iter() keeps it from reading
+        # an int as a length or an array through the buffer protocol
+        t = bytes(iter(self.table))
+        if len(t) != 256:
             raise ValueError("table must be 256 values in [0, 255]")
-        object.__setattr__(self, "table", t)
+        object.__setattr__(self, "table", tuple(t))
 
     def is_involution(self) -> bool:
         t = self.table
@@ -114,45 +116,39 @@ class SBoxProfile8:
 POPCOUNT = np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1).sum(
     axis=1
 ).astype(np.int64)
+_SIGN = (1 - 2 * (POPCOUNT & 1)).astype(np.int16)
+_BYTES = np.arange(256)
+# _XOR[a, x] = x ^ a and _ROW[a] = a << 8 address the 256 x 256 DDT cells
+_XOR = _BYTES[:, None] ^ _BYTES
+_ROW = (_BYTES[:, None] << 8).astype(np.uint16)
+_ONE_BIT = 1 << np.arange(8)
 
 
 def profile8(sbox) -> SBoxProfile8:
     """Full 256x256 DDT and 256x255 Walsh scan of an 8-bit table."""
-    table = sbox.table if isinstance(sbox, SBox8) else tuple(sbox)
-    if len(table) != 256:
-        raise ValueError("expected a 256-entry table")
-    t = np.array(table, dtype=np.int64)
-    x = np.arange(256, dtype=np.int64)
+    box = sbox if isinstance(sbox, SBox8) else SBox8(table=sbox)
+    t = np.frombuffer(box.to_bytes(), dtype=np.uint8)
 
-    bijective = len(set(table)) == 256
-    involutive = bool(np.all(t[t] == x))
+    bijective = len(set(box.table)) == 256
+    involutive = bool(np.all(t[t] == _BYTES))
 
-    # DDT row per nonzero input difference
-    diff = 0
-    for a in range(1, 256):
-        row = np.bincount(t[x] ^ t[x ^ a], minlength=256)
-        m = int(row.max())
-        if m > diff:
-            diff = m
+    # d[a, x] = S(x) ^ S(x ^ a): one bincount fills the whole DDT
+    d = t ^ np.take(t, _XOR)
+    ddt = np.bincount((_ROW | d).ravel(), minlength=256 * 256)
+    diff = int(ddt[256:].max())
 
     # Walsh spectrum: per output mask b, signs (-1)^{b.S(x)} transformed
     # over x by a fast Walsh-Hadamard pass evaluates all input masks a.
-    b = np.arange(1, 256, dtype=np.int64)
-    signs = 1 - 2 * (POPCOUNT[b[:, None] & t[None, :]] & 1)
-    w = signs
-    h = 1
-    while h < 256:
-        w = w.reshape(255, -1, 2, h)
-        top = w[:, :, 0, :] + w[:, :, 1, :]
-        bot = w[:, :, 0, :] - w[:, :, 1, :]
-        w = np.stack((top, bot), axis=2)
-        h *= 2
-    w = w.reshape(255, 256)
+    # Each pass pairs entry k with k + 128 and interleaves their sum and
+    # difference; eight such passes give the natural-order transform.
+    # Every partial sum stays within +-256, so int16 holds it.
+    w = _SIGN[_BYTES[1:, None] & t]
+    for _ in range(8):
+        lo, hi = w[:, :128], w[:, 128:]
+        w = np.stack((lo + hi, lo - hi), axis=2).reshape(255, 256)
     lin = int(np.abs(w).max())
 
-    branch_min = int(
-        min(POPCOUNT[t[x] ^ t[x ^ (1 << j)]].min() for j in range(8))
-    )
+    branch_min = int(POPCOUNT[d[_ONE_BIT]].min())
     return SBoxProfile8(
         bijective=bijective,
         involutive=involutive,

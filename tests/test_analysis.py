@@ -6,6 +6,7 @@ every single-bit flip yields Hamming distance 1). Model numbers are
 checked against their defining arithmetic, not against themselves.
 """
 
+import hashlib
 import json
 from dataclasses import replace
 
@@ -66,6 +67,21 @@ def test_histogram_sbox_modes_differ(pool32):
     b = avalanche_histogram(small_cfg(sbox_mode="eight-distinct"), pool32)
     assert list(a.counts) != list(b.counts)
     assert a.total == b.total
+
+
+# sha256 of the little-endian int64 counts, as the layer-by-layer cipher
+# (s_layer, then p_layer, per round) computed them
+AVALANCHE_PINS = {
+    "single-replicated": "5489a5835381e2f4effd5832e45685cacc28605b4e6b867e4e2d3b50ea6c9b63",
+    "eight-distinct": "e200b840467e80b0101e7dc30d796f0b4a2fa64994c124ae084610a1b21402e1",
+}
+
+
+@pytest.mark.parametrize("sbox_mode", sorted(AVALANCHE_PINS))
+def test_histogram_counts_are_pinned(pool32, sbox_mode):
+    cfg = small_cfg(suc_count=8, trials_per_suc=20, sbox_mode=sbox_mode)
+    counts = avalanche_histogram(cfg, pool32).counts.astype("<i8")
+    assert hashlib.sha256(counts.tobytes()).hexdigest() == AVALANCHE_PINS[sbox_mode]
 
 
 def test_identity_instance_has_unit_avalanche():

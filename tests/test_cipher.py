@@ -155,6 +155,36 @@ def test_batch_matches_scalar(pool32):
         assert apply(inst, bytes(row_in)) == bytes(row_out)
 
 
+@pytest.mark.parametrize("rounds", range(1, 17))
+def test_batch_scalar_and_reference_agree_at_every_round_count(pool32, rounds):
+    inst = make_instance(pool32, seed=100 + rounds, rounds=rounds)
+    tables = [s.table for s in inst.sboxes]
+    blocks = np.random.default_rng(rounds).integers(0, 256, (40, 8), dtype=np.uint8)
+    out = apply_batch(inst, blocks)
+    for x, y in zip(blocks, out):
+        assert bytes(y) == apply(inst, bytes(x)) == ref_apply(tables, rounds, bytes(x))
+
+
+def test_batch_accepts_any_block_array_form(pool32):
+    inst = make_instance(pool32, seed=14)
+    wide = np.random.default_rng(5).integers(0, 256, (50, 16), dtype=np.uint8)
+    strided = wide[:, ::2]
+    blocks = np.ascontiguousarray(strided)
+    want = np.array([list(apply(inst, bytes(b))) for b in blocks], dtype=np.uint8)
+    forms = (
+        blocks,
+        strided,
+        np.frombuffer(blocks.tobytes(), dtype=np.uint8).reshape(50, 8),
+        blocks.tolist(),
+    )
+    for form in forms:
+        assert np.array_equal(apply_batch(inst, form), want)
+    assert np.array_equal(wide[:, ::2], blocks)  # input left untouched
+    assert np.array_equal(apply_batch(inst, blocks[:1]), want[:1])
+    empty = apply_batch(inst, np.zeros((0, 8), dtype=np.uint8))
+    assert empty.shape == (0, 8) and empty.dtype == np.uint8
+
+
 def test_batch_involution(pool32):
     inst = make_instance(pool32, seed=13)
     rng = np.random.default_rng(4)

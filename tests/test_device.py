@@ -238,6 +238,29 @@ def test_single_byte_tamper_is_always_detected(tmp_path, pool32):
     assert device.boot(d, "dev01").loaded is not None
 
 
+@pytest.mark.parametrize(
+    "index, table",
+    [
+        (3, bytes((x + 1) % 256 for x in range(256))),  # a permutation only
+        (5, bytes(256)),  # not even a permutation
+    ],
+    ids=["3-permutation", "5-constant"],
+)
+def test_boot_refuses_sealed_tables_that_are_not_involutions(
+    tmp_path, pool32, index, table
+):
+    d, dev = fresh(tmp_path)
+    personalize(d, dev, pool32)
+    tables = bytearray(device.reinit(dev).tables_blob())
+    tables[256 * index : 256 * (index + 1)] = table
+    key = device.derive_device_key(dev)
+    aad = device._aad(dev.serial, dev.envm.params)
+    dev.envm.blob = device.seal(key, bytes(tables), aad, SeededEntropy(3))
+    device.save_envm(dev, d)
+    with pytest.raises(IntegrityError, match=f"S-box {index} is not an involution"):
+        device.boot(d, "dev01")
+
+
 def test_silicon_tamper_breaks_unsealing(tmp_path, pool32):
     d, dev = fresh(tmp_path)
     personalize(d, dev, pool32)

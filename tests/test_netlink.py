@@ -278,10 +278,12 @@ def test_a_crashing_session_is_logged_and_the_service_goes_on(
     store = UirStore(tmp_path / "uir")
     with TaService(store, enroll_pairs=2, entropy=SeededEntropy(0)) as svc:
         monkeypatch.setattr(store, "has", broken_has)
-        assert run_agent(dev, svc.address).enrolled == 0
+        dropped = run_agent(dev, svc.address)
         monkeypatch.undo()
         outcome = run_agent(dev, svc.address)
-    assert outcome.enrolled == 2
+    assert dropped.enrolled == 0
+    assert dropped.error == "session closed" and not dropped.ok
+    assert outcome.enrolled == 2 and outcome.ok
     [error] = netlink_errors(caplog)
     assert error.exc_info[0] is RuntimeError
 
