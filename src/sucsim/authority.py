@@ -8,7 +8,12 @@ an involution, the record also supports the reversed handshake: send
 the stored response and expect the stored challenge back.
 
 Records live in a directory, one text file per serial, rewritten
-atomically; per-serial locks serialize mutation.
+atomically. `authenticate` is the one authentication transaction: under
+the serial's lock it loads the record, marks the lowest unused pair used
+and saves it; the challenge goes out only after the lock is released, so
+the use is on disk before the challenge leaves and no lock spans a
+network round trip. The save does not fsync yet, so a power loss can
+still undo a use.
 """
 
 from __future__ import annotations
@@ -94,25 +99,22 @@ def enroll(
 
 
 def authenticate(
-    channel: DeviceChannel,
-    record: UirRecord,
-    entropy: EntropySource | None = None,
-    inverse: bool = False,
+    channel: DeviceChannel, store: UirStore, inverse: bool = False
 ) -> AuthResult:
     """One handshake: send a stored challenge, require the stored response.
 
-    With inverse=True the handshake runs reversed: send the stored
-    response and expect the challenge back, which only an involutive
-    device can do. The selected pair is consumed even when the device
-    answers wrongly or not at all. Pass an entropy source to randomize
-    pair selection; without one the lowest unused pair goes first, which
-    keeps runs deterministic and auditable.
+    The lowest unused pair is used up even when the device answers
+    wrongly or not at all. With inverse=True the handshake runs reversed:
+    send the stored response and expect the challenge back, which only
+    an involutive device can do.
     """
-    unused = [p for p in record.pairs if not p.used]
-    if not unused:
-        return AuthResult.EXHAUSTED
-    pair = unused[0 if entropy is None else entropy.draw_index(len(unused))]
-    pair.used = True
+    with store.lock_for(channel.serial):
+        record = store.load(channel.serial)
+        pair = next((p for p in record.pairs if not p.used), None)
+        if pair is None:
+            return AuthResult.EXHAUSTED
+        pair.used = True
+        store.save(record)
     sent, expected = (pair.y, pair.x) if inverse else (pair.x, pair.y)
     try:
         answer = channel.respond(sent)
@@ -209,13 +211,13 @@ class UirStore:
 
 
 class LocalDeviceChannel:
-    """In-process channel over a booted device; used by tests and the CLI."""
+    """In-process channel over a device; one with nothing loaded cannot answer."""
 
     def __init__(self, dev) -> None:
-        if dev.loaded is None:
-            raise ChannelError(f"device {dev.serial} has no loaded instance")
         self.serial = dev.serial
         self._dev = dev
 
     def respond(self, block: bytes) -> bytes:
+        if self._dev.loaded is None:
+            raise ChannelError(f"device {self.serial} has no loaded instance")
         return apply(self._dev.loaded, block)

@@ -246,31 +246,17 @@ def cmd_authenticate(args) -> int:
     directory, serial = _device_ref(args.device)
     if serial != args.sn:
         raise ValueError(f"--sn {args.sn!r} does not match device {serial!r}")
-    store = authority.UirStore(args.uir)
     try:
         dev = device.boot(directory, serial)
-        channel = authority.LocalDeviceChannel(dev)
     except SucError as exc:
-        channel = _FailingChannel(serial, str(exc))
-    with store.lock_for(args.sn):
-        record = store.load(args.sn)
-        result = authority.authenticate(channel, record, inverse=args.inverse)
-        store.save(record)
+        print(f"boot failed: {exc}", file=sys.stderr)
+        dev = device.DeviceState(serial, b"", device.Envm())  # nothing loaded
+    store = authority.UirStore(args.uir)
+    result = authority.authenticate(
+        authority.LocalDeviceChannel(dev), store, inverse=args.inverse
+    )
     print(result.value)
     return 0 if result is authority.AuthResult.ACCEPTED else 1
-
-
-class _FailingChannel:
-    """Stand-in for a device that cannot boot; consumes the pair, fails."""
-
-    def __init__(self, serial: str, message: str) -> None:
-        self.serial = serial
-        self._message = message
-
-    def respond(self, block: bytes) -> bytes:
-        from .errors import ChannelError
-
-        raise ChannelError(self._message)
 
 
 def cmd_uir_stats(args) -> int:

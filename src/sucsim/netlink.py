@@ -12,8 +12,9 @@ its serial; the service answers HELLO_ACK and then either enrolls the
 device (unknown serial: ENROLL_BEGIN, t challenge/response exchanges,
 ENROLL_END) or runs a single authentication (known serial: CHALLENGE,
 RESPONSE, AUTH_RESULT; an exhausted record sends AUTH_RESULT straight
-away). An agent that cannot answer a challenge replies with an ERROR
-frame, which the service scores as a rejection.
+away). The service saves the pair's use before it sends the CHALLENGE
+(see `authority.authenticate`). An agent that cannot answer a challenge
+replies with an ERROR frame, which the service scores as a rejection.
 """
 
 from __future__ import annotations
@@ -54,9 +55,9 @@ class FrameKind(enum.IntEnum):
 _KINDS = {int(k) for k in FrameKind}
 
 _STATUS_BYTE = {
-    AuthResult.ACCEPTED: 0,
-    AuthResult.REJECTED: 1,
-    AuthResult.EXHAUSTED: 2,
+    AuthResult.ACCEPTED: b"\x00",
+    AuthResult.REJECTED: b"\x01",
+    AuthResult.EXHAUSTED: b"\x02",
 }
 _STATUS_FROM_BYTE = {v: k for k, v in _STATUS_BYTE.items()}
 
@@ -223,8 +224,13 @@ class TaService:
         log.info("authority listening on %s:%d", *self.address[:2])
 
     def stop(self) -> None:
-        """Stop accepting, then wait for the sessions in flight."""
+        """Stop accepting, then wait for the sessions in flight; repeatable."""
         if self._accept_thread is not None:
+            try:
+                # wakes serve_forever's select() now, not at its next poll
+                self._server.socket.shutdown(socket.SHUT_RDWR)
+            except OSError:
+                pass  # an earlier stop() closed it
             self._server.shutdown()  # blocks forever unless serve_forever runs
         self._server.server_close()
 
@@ -269,15 +275,10 @@ class TaService:
 
     def _run_authentication(self, channel: FrameChannel, serial: str) -> None:
         started = time.perf_counter()
-        with self.store.lock_for(serial):
-            record = self.store.load(serial)
-            result = authority.authenticate(_SessionChannel(serial, channel), record)
-            self.store.save(record)
+        result = authority.authenticate(_SessionChannel(serial, channel), self.store)
         elapsed = time.perf_counter() - started
         log.info("auth %s: %s (%.1f ms)", serial, result.value, elapsed * 1e3)
-        channel.send(
-            Frame(FrameKind.AUTH_RESULT, bytes([_STATUS_BYTE[result]]))
-        )
+        channel.send(Frame(FrameKind.AUTH_RESULT, _STATUS_BYTE[result]))
 
 
 @dataclass
@@ -332,14 +333,16 @@ def run_agent(dev, address: tuple, timeout: float = 10.0) -> AgentOutcome:
                 )
                 outcome.answered += 1
             elif frame.kind == FrameKind.ENROLL_BEGIN:
+                if len(frame.payload) != 2:
+                    raise ProtocolError("ENROLL_BEGIN must carry 2 bytes")
                 (expect_pairs,) = struct.unpack(">H", frame.payload)
             elif frame.kind == FrameKind.ENROLL_END:
                 outcome.enrolled = expect_pairs
                 break
             elif frame.kind == FrameKind.AUTH_RESULT:
-                outcome.result = _STATUS_FROM_BYTE.get(frame.payload[0])
+                outcome.result = _STATUS_FROM_BYTE.get(frame.payload)
                 if outcome.result is None:
-                    raise ProtocolError(f"bad status byte {frame.payload!r}")
+                    raise ProtocolError(f"bad status {frame.payload[:8]!r}")
                 break
             elif frame.kind == FrameKind.ERROR:
                 outcome.error = frame.payload.decode("utf-8", "replace")

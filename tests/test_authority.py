@@ -6,6 +6,9 @@ Key behavioral claims:
     other bijection, the inverse direction can
 """
 
+import sys
+import threading
+
 import pytest
 
 from sucsim import authority, device
@@ -46,6 +49,13 @@ def booted_channel(make_device, **kw):
     return LocalDeviceChannel(device.boot(d, serial))
 
 
+def stored(tmp_path, record):
+    """A fresh store holding record."""
+    store = UirStore(tmp_path / "uir")
+    store.create(record)
+    return store
+
+
 # ---------------------------------------------------------------------------
 # enrollment
 
@@ -81,81 +91,101 @@ def test_enroll_rejects_zero_pairs():
 # ---------------------------------------------------------------------------
 # authentication
 
-def test_authenticate_accepts_the_real_device(make_device):
+def test_authenticate_accepts_the_real_device(tmp_path, make_device):
     channel = booted_channel(make_device)
-    record = enroll(channel, 8, SeededEntropy(0))
+    store = stored(tmp_path, enroll(channel, 8, SeededEntropy(0)))
     for _ in range(8):
-        assert authenticate(channel, record) is AuthResult.ACCEPTED
-    assert record.unused_count == 0
-    assert authenticate(channel, record) is AuthResult.EXHAUSTED
+        assert authenticate(channel, store) is AuthResult.ACCEPTED
+    assert store.load("dev01").unused_count == 0
+    assert authenticate(channel, store) is AuthResult.EXHAUSTED
 
 
-def test_authenticate_consumes_lowest_unused_first(make_device):
+def test_authenticate_consumes_lowest_unused_first(tmp_path, make_device):
     channel = booted_channel(make_device)
-    record = enroll(channel, 4, SeededEntropy(0))
-    authenticate(channel, record)
-    assert [p.used for p in record.pairs] == [True, False, False, False]
-    authenticate(channel, record)
-    assert [p.used for p in record.pairs] == [True, True, False, False]
+    store = stored(tmp_path, enroll(channel, 4, SeededEntropy(0)))
+    authenticate(channel, store)
+    assert [p.used for p in store.load("dev01").pairs] == [True, False, False, False]
+    authenticate(channel, store)
+    assert [p.used for p in store.load("dev01").pairs] == [True, True, False, False]
 
 
-def test_authenticate_random_selection_consumes_everything(make_device):
-    channel = booted_channel(make_device)
-    record = enroll(channel, 6, SeededEntropy(0))
-    picker = SeededEntropy(5)
-    for _ in range(6):
-        assert authenticate(channel, record, entropy=picker) is AuthResult.ACCEPTED
-    assert record.unused_count == 0
-
-
-def test_impostor_is_rejected_and_still_burns_the_pair(make_device):
+def test_impostor_is_rejected_and_still_burns_the_pair(tmp_path, make_device):
     real = booted_channel(make_device, serial="real", seed=1)
-    record = enroll(real, 3, SeededEntropy(0))
+    store = stored(tmp_path, enroll(real, 3, SeededEntropy(0)))
     impostor = FnChannel("real", lambda b: bytes(8))
-    assert authenticate(impostor, record) is AuthResult.REJECTED
-    assert record.unused_count == 2
+    assert authenticate(impostor, store) is AuthResult.REJECTED
+    assert store.load("real").unused_count == 2
 
 
-def test_dead_channel_is_rejected_and_still_burns_the_pair(make_device):
+def test_dead_channel_is_rejected_and_still_burns_the_pair(tmp_path, make_device):
     real = booted_channel(make_device)
-    record = enroll(real, 2, SeededEntropy(0))
-    assert authenticate(DeadChannel("dev01"), record) is AuthResult.REJECTED
-    assert authenticate(DeadChannel("dev01"), record, inverse=True) is AuthResult.REJECTED
-    assert authenticate(real, record) is AuthResult.EXHAUSTED
+    store = stored(tmp_path, enroll(real, 2, SeededEntropy(0)))
+    assert authenticate(DeadChannel("dev01"), store) is AuthResult.REJECTED
+    assert authenticate(DeadChannel("dev01"), store, inverse=True) is AuthResult.REJECTED
+    assert authenticate(real, store) is AuthResult.EXHAUSTED
 
 
-def test_inverse_authentication_accepts_the_real_device(make_device):
+def test_inverse_authentication_accepts_the_real_device(tmp_path, make_device):
     channel = booted_channel(make_device)
-    record = enroll(channel, 6, SeededEntropy(0))
+    store = stored(tmp_path, enroll(channel, 6, SeededEntropy(0)))
     for _ in range(6):
-        assert authenticate(channel, record, inverse=True) is AuthResult.ACCEPTED
-    assert authenticate(channel, record, inverse=True) is AuthResult.EXHAUSTED
+        assert authenticate(channel, store, inverse=True) is AuthResult.ACCEPTED
+    assert authenticate(channel, store, inverse=True) is AuthResult.EXHAUSTED
 
 
-def test_forward_cannot_tell_a_bijection_from_an_involution():
+def test_forward_cannot_tell_a_bijection_from_an_involution(tmp_path):
     # counter map: bijective, deterministic, emphatically not an involution
     def h(block):
         v = int.from_bytes(block, "big")
         return ((v + 1) % 2**64).to_bytes(8, "big")
 
     channel = FnChannel("s", h)
-    record = enroll(channel, 4, SeededEntropy(3))
-    assert authenticate(channel, record) is AuthResult.ACCEPTED
+    store = stored(tmp_path, enroll(channel, 4, SeededEntropy(3)))
+    assert authenticate(channel, store) is AuthResult.ACCEPTED
     # h(h(x)) = x + 2 != x, so the reversed handshake exposes it
-    assert authenticate(channel, record, inverse=True) is AuthResult.REJECTED
-    assert authenticate(channel, record, inverse=True) is AuthResult.REJECTED
+    assert authenticate(channel, store, inverse=True) is AuthResult.REJECTED
+    assert authenticate(channel, store, inverse=True) is AuthResult.REJECTED
 
 
-def test_exhausted_record_never_touches_the_channel():
+def test_exhausted_record_never_touches_the_channel(tmp_path, monkeypatch):
     calls = []
 
     def spy(block):
         calls.append(block)
         return block
 
-    record = UirRecord(serial="s", params=SucParams(), created_at="t")
-    assert authenticate(FnChannel("s", spy), record) is AuthResult.EXHAUSTED
+    store = stored(tmp_path, UirRecord(serial="s", params=SucParams(), created_at="t"))
+    monkeypatch.setattr(store, "save", calls.append)  # nor rewrites the record
+    assert authenticate(FnChannel("s", spy), store) is AuthResult.EXHAUSTED
     assert calls == []
+
+
+def test_concurrent_authentications_of_one_serial_use_distinct_pairs(tmp_path):
+    sent, results = [], []
+
+    def echo(block):
+        sent.append(block)
+        return block
+
+    channel = FnChannel("s", echo)
+    store = stored(tmp_path, enroll(FnChannel("s", lambda b: b), 24, SeededEntropy(0)))
+    threads = [
+        threading.Thread(target=lambda: results.append(authenticate(channel, store)))
+        for _ in range(16)
+    ]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=10)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert results == [AuthResult.ACCEPTED] * 16
+    assert len(set(sent)) == 16  # a lost update would send a challenge twice
+    assert store.load("s").unused_count == 8
 
 
 # ---------------------------------------------------------------------------
@@ -164,7 +194,7 @@ def test_exhausted_record_never_touches_the_channel():
 def test_store_roundtrip_preserves_everything(tmp_path, make_device):
     channel = booted_channel(make_device)
     record = enroll(channel, 5, SeededEntropy(0), params=channel._dev.envm.params)
-    authenticate(channel, record)
+    record.pairs[0].used = True
     store = UirStore(tmp_path / "uir")
     store.create(record)
     back = store.load("dev01")
@@ -178,12 +208,9 @@ def test_store_roundtrip_preserves_everything(tmp_path, make_device):
 
 def test_store_save_persists_consumption(tmp_path, make_device):
     channel = booted_channel(make_device)
-    store = UirStore(tmp_path / "uir")
-    store.create(enroll(channel, 4, SeededEntropy(0)))
-    record = store.load("dev01")
-    authenticate(channel, record)
-    store.save(record)
-    assert store.load("dev01").unused_count == 3
+    store = stored(tmp_path, enroll(channel, 4, SeededEntropy(0)))
+    authenticate(channel, store)
+    assert UirStore(tmp_path / "uir").load("dev01").unused_count == 3
 
 
 def test_store_refuses_duplicate_serials(tmp_path):
@@ -243,11 +270,9 @@ def test_store_pair_lines_are_strict(tmp_path):
 
 def test_store_stats(tmp_path, make_device):
     channel = booted_channel(make_device)
-    store = UirStore(tmp_path / "uir")
-    record = enroll(channel, 4, SeededEntropy(0))
-    authenticate(channel, record)
-    authenticate(channel, record)
-    store.create(record)
+    store = stored(tmp_path, enroll(channel, 4, SeededEntropy(0)))
+    authenticate(channel, store)
+    authenticate(channel, store)
     for stray in (".uir", "a b.uir"):  # stems that are not serials
         (tmp_path / "uir" / stray).write_text("not a record\n")
     assert store.stats() == [("dev01", 4, 2, 2)]
@@ -262,7 +287,7 @@ def test_local_channel_requires_a_booted_device(make_device):
     d, serial = make_device()
     dev = device.load_device(d, serial)  # not booted
     with pytest.raises(ChannelError):
-        LocalDeviceChannel(dev)
+        LocalDeviceChannel(dev).respond(bytes(8))
 
 
 def test_local_channel_is_involutive(make_device):

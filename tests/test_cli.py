@@ -353,10 +353,11 @@ def test_inverse_authentication_accepts_involution(capsys, tmp_path, pool32_file
 def test_tampered_device_is_rejected_and_burns_a_pair(capsys, tmp_path, pool32_file):
     prefix, uir, name = enrolled_device(capsys, tmp_path, pool32_file, pairs=2)
     run(capsys, "tamper", "--device", prefix, "--byte", "33")
-    rc, out, _ = run(capsys, "authenticate", "--sn", name,
-                     "--device", prefix, "--uir", uir)
+    rc, out, err = run(capsys, "authenticate", "--sn", name,
+                       "--device", prefix, "--uir", uir)
     assert rc == 1
     assert out.strip() == "rejected"
+    assert err.startswith("boot failed: ")
 
     rc, out, _ = run(capsys, "uir-stats", "--uir", uir)
     assert rc == 0

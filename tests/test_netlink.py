@@ -316,24 +316,76 @@ def test_service_retains_no_thread_per_session(tmp_path, booted):
         assert heap_threads() <= before
 
 
+def test_a_crash_after_the_challenge_leaves_the_pair_used(
+    tmp_path, booted, monkeypatch, caplog
+):
+    def crash(self, block):
+        raise RuntimeError("link on fire")
+
+    dev = booted()
+    store = UirStore(tmp_path / "uir")
+    with TaService(store, enroll_pairs=2, entropy=SeededEntropy(0)) as svc:
+        run_agent(dev, svc.address)
+        monkeypatch.setattr(netlink._SessionChannel, "respond", crash)
+        dropped = run_agent(dev, svc.address)
+    assert dropped.error == "session closed"
+    reloaded = UirStore(tmp_path / "uir").load("dev01")
+    assert [p.used for p in reloaded.pairs] == [True, False]
+    [error] = netlink_errors(caplog)
+    assert error.exc_info[0] is RuntimeError
+
+
+def test_a_failed_save_sends_no_challenge(tmp_path, booted, monkeypatch):
+    def broken_save(record):
+        raise OSError("disk full")
+
+    dev = booted()
+    store = UirStore(tmp_path / "uir")
+    with TaService(store, enroll_pairs=2, entropy=SeededEntropy(0)) as svc:
+        run_agent(dev, svc.address)
+        monkeypatch.setattr(store, "save", broken_save)
+        outcome = run_agent(dev, svc.address)
+    assert outcome.error == "disk full"
+    assert outcome.answered == 0
+    assert store.load("dev01").unused_count == 2
+
+
+def test_an_unanswered_challenge_does_not_hold_the_serial(tmp_path, booted):
+    dev = booted()
+    store = UirStore(tmp_path / "uir")
+    with TaService(store, enroll_pairs=2, entropy=SeededEntropy(0), timeout=5) as svc:
+        run_agent(dev, svc.address)
+        with socket.create_connection(svc.address, timeout=5) as sock:
+            channel = netlink.FrameChannel(sock)
+            channel.send(Frame(FrameKind.HELLO, b"dev01"))
+            channel.expect(FrameKind.HELLO_ACK)
+            channel.expect(FrameKind.CHALLENGE)  # and never answer it
+            started = time.perf_counter()
+            outcome = run_agent(dev, svc.address)
+            elapsed = time.perf_counter() - started
+    assert outcome.result is AuthResult.ACCEPTED
+    assert elapsed < 1.0
+    assert store.load("dev01").unused_count == 0
+
+
 def test_stop_returns_promptly(tmp_path):
     svc = TaService(UirStore(tmp_path / "uir"))
     svc.start()
     time.sleep(0.2)  # let the accept thread wait for connections
     started = time.perf_counter()
     svc.stop()
-    assert time.perf_counter() - started < 1.0
+    assert time.perf_counter() - started < 0.1
     svc._accept_thread.join(timeout=5)
     assert not svc._accept_thread.is_alive()
+    svc.stop()  # as serve_forever does after a stop() from another thread
     never_started = TaService(UirStore(tmp_path / "uir"))
     started = time.perf_counter()
     never_started.stop()
-    assert time.perf_counter() - started < 1.0
+    assert time.perf_counter() - started < 0.1
 
 
-def test_agent_refuses_oversized_challenge(tmp_path, booted):
-    # a CHALLENGE whose payload is not 8 bytes is a protocol violation
-    dev = booted()
+def agent_against_fake_service(dev, frames):
+    """run_agent against a listener that acknowledges HELLO, then sends frames."""
     listener = socket.create_server(("127.0.0.1", 0))
 
     def fake_service():
@@ -342,7 +394,8 @@ def test_agent_refuses_oversized_challenge(tmp_path, booted):
             channel = netlink.FrameChannel(conn)
             channel.recv()  # HELLO
             channel.send(Frame(FrameKind.HELLO_ACK))
-            channel.send(Frame(FrameKind.CHALLENGE, b"\x00" * 15))
+            for frame in frames:
+                channel.send(frame)
             try:
                 channel.recv()
             except Exception:
@@ -351,11 +404,31 @@ def test_agent_refuses_oversized_challenge(tmp_path, booted):
     t = threading.Thread(target=fake_service, daemon=True)
     t.start()
     try:
-        with pytest.raises(netlink.ProtocolError):
-            run_agent(dev, listener.getsockname())
+        return run_agent(dev, listener.getsockname())
     finally:
         listener.close()
         t.join(timeout=5)
+
+
+def test_agent_refuses_oversized_challenge(booted):
+    # a CHALLENGE whose payload is not 8 bytes is a protocol violation
+    with pytest.raises(netlink.ProtocolError):
+        agent_against_fake_service(booted(), [Frame(FrameKind.CHALLENGE, b"\x00" * 15)])
+
+
+@pytest.mark.parametrize(
+    "frame",
+    [
+        Frame(FrameKind.AUTH_RESULT, b""),
+        Frame(FrameKind.AUTH_RESULT, b"\x00\x00"),
+        Frame(FrameKind.ENROLL_BEGIN, b"\x01"),
+        Frame(FrameKind.ENROLL_BEGIN, b"\x00\x01\x00"),
+    ],
+    ids=["empty-result", "long-result", "short-begin", "long-begin"],
+)
+def test_agent_refuses_malformed_result_and_begin_frames(booted, frame):
+    with pytest.raises(netlink.ProtocolError):
+        agent_against_fake_service(booted(), [frame])
 
 
 def test_session_channel_serial_survives(tmp_path, booted):
