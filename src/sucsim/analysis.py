@@ -241,10 +241,10 @@ class CostConstants:
     """Latency constants (microseconds unless suffixed _ms).
 
     tau1/tau2 calibrate the random number generator, tau3/tau4 the
-    byte-substitution builder; the aggregate coefficients k1 and k2 must
-    equal 4*tau1 and 8*tau3 for the component and k-form models to
-    agree. tau_e is the per-table encryption share backed out of the
-    ~647 ms personalization total.
+    byte-substitution builder; the aggregate coefficients k1, k2 and k3
+    are derived from them, so the component and k-form models agree.
+    tau_e is the per-table encryption share backed out of the ~647 ms
+    personalization total.
     """
 
     tau1: float = 4.78125
@@ -254,12 +254,18 @@ class CostConstants:
     tau_puf: float = 30_000.0
     tau_e: float = 2_580.0
     tau_envm: float = 596_000.0
-    k1: float = 19.125
-    k2: float = 13.04
     cipher_cycles: int = 144
     reinit_envm_read_ms: float = 1.33
     reinit_decrypt_ms: float = 18.0
     reinit_lsram_ms: float = 1.77
+
+    @property
+    def k1(self) -> float:
+        return 4 * self.tau1
+
+    @property
+    def k2(self) -> float:
+        return 8 * self.tau3
 
     @property
     def k3_us(self) -> float:
@@ -321,7 +327,7 @@ def tau_otpp(
     """Personalization latency model with its component breakdown.
 
     The aggregate form k1*ceil(log2(|S|))*(r+1) + k2*r + k3 equals the
-    component sum exactly when k1 = 4*tau1 and k2 = 8*tau3.
+    component sum, since k1 = 4*tau1 and k2 = 8*tau3.
     """
     kappa = kappa_trng(r, set_size, "bits")
     return OtppCost(

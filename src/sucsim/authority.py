@@ -7,13 +7,16 @@ so a challenge is never transmitted twice. Because the device cipher is
 an involution, the record also supports the reversed handshake: send
 the stored response and expect the stored challenge back.
 
-Records live in a directory, one text file per serial, rewritten
-atomically. `authenticate` is the one authentication transaction: under
-the serial's lock it loads the record, marks the lowest unused pair used
-and saves it; the challenge goes out only after the lock is released, so
-the use is on disk before the challenge leaves and no lock spans a
-network round trip. The save does not fsync yet, so a power loss can
-still undo a use.
+Records live in a directory, one text file per serial. Its `pair:` rows
+are written once, at enrollment, and never rewritten. Pairs are used
+lowest first, so the used ones are a prefix, recorded as one appended
+`used: <index>` line per use. `authenticate` is the one authentication
+transaction: under the serial's lock it loads the record and appends and
+fsyncs the lowest unused index; the challenge goes out only after the
+lock is released, so the use is durable before the challenge leaves and
+no lock spans a network round trip. `load` is strict, so a torn or
+duplicated `used:` line makes the record fail closed with
+EnrollmentError.
 """
 
 from __future__ import annotations
@@ -110,11 +113,11 @@ def authenticate(
     """
     with store.lock_for(channel.serial):
         record = store.load(channel.serial)
-        pair = next((p for p in record.pairs if not p.used), None)
-        if pair is None:
+        index = len(record.pairs) - record.unused_count  # uses are a prefix
+        if index == len(record.pairs):
             return AuthResult.EXHAUSTED
-        pair.used = True
-        store.save(record)
+        store.mark_used(channel.serial, index)
+    pair = record.pairs[index]
     sent, expected = (pair.y, pair.x) if inverse else (pair.x, pair.y)
     try:
         answer = channel.respond(sent)
@@ -126,11 +129,9 @@ def authenticate(
 # ---------------------------------------------------------------------------
 # persistence
 
-def _pair(value: str) -> CrPair:
-    x, y, used = value.split(" ")
-    if used not in ("0", "1"):
-        raise ValueError(f"pair use flag {used[:8]!r} is not 0 or 1")
-    return CrPair(x=records.hex_field(x, 8), y=records.hex_field(y, 8), used=used == "1")
+def _pair(value: str, used: bool) -> CrPair:
+    x, y = value.split(" ")
+    return CrPair(x=records.hex_field(x, 8), y=records.hex_field(y, 8), used=used)
 
 
 class UirStore:
@@ -161,6 +162,8 @@ class UirStore:
         return sorted(s for s in stems if records.SERIAL_RE.match(s))
 
     def save(self, record: UirRecord) -> None:
+        """Write the whole record: its pair rows, then a `used:` line per
+        used pair; the used pairs must be a prefix."""
         header = {
             "serial": record.serial,
             "created_at": record.created_at,
@@ -168,8 +171,19 @@ class UirStore:
             "feistel_r": record.params.feistel_r,
             "pool_digest": record.params.pool_digest.hex(),
         }
-        pairs = [f"{p.x.hex()} {p.y.hex()} {1 if p.used else 0}" for p in record.pairs]
-        records.write(self._path(record.serial), header, "pair", pairs)
+        used = len(record.pairs) - record.unused_count
+        if not all(p.used for p in record.pairs[:used]):
+            raise ValueError("used pairs must be a prefix of the record")
+        pairs = [f"{p.x.hex()} {p.y.hex()}" for p in record.pairs]
+        records.write(
+            self._path(record.serial),
+            header,
+            (("pair", pairs), ("used", [str(i) for i in range(used)])),
+        )
+
+    def mark_used(self, serial: str, index: int) -> None:
+        """Durably record the use of pair index: one fsynced appended line."""
+        records.append(self._path(serial), "used", index)
 
     def load(self, serial: str) -> UirRecord:
         path = self._path(serial)
@@ -178,6 +192,15 @@ class UirStore:
             head = records.fields(lines[:5], _HEADER_KEYS)
             if head["serial"] != serial:
                 raise ValueError("record serial does not match file name")
+            first_use = next(
+                (i for i, line in enumerate(lines) if line.startswith("used: ")), len(lines)
+            )
+            pairs = records.rows(lines[5:first_use], "pair")
+            uses = records.rows(lines[first_use:], "used")
+            if uses != [str(i) for i in range(len(uses))]:
+                raise ValueError("used lines do not read 0, 1, 2, ... in order")
+            if len(uses) > len(pairs):
+                raise ValueError(f"{len(uses)} uses of {len(pairs)} pairs")
             return UirRecord(
                 serial=serial,
                 params=SucParams(
@@ -185,7 +208,7 @@ class UirStore:
                     feistel_r=records.int_field(head["feistel_r"]),
                     pool_digest=records.hex_field(head["pool_digest"], 0, 32),
                 ),
-                pairs=[_pair(v) for v in records.rows(lines[5:], "pair")],
+                pairs=[_pair(v, i < len(uses)) for i, v in enumerate(pairs)],
                 created_at=head["created_at"],
             )
         except FileNotFoundError:

@@ -65,8 +65,8 @@ def _device_ref(prefix: str):
 
 def _parse_listen(text: str):
     host, _, port = text.rpartition(":")
-    if not host or not port.isdigit():
-        raise ValueError(f"expected HOST:PORT, got {text!r}")
+    if not host or not port.isdigit() or int(port) > 65535:
+        raise ValueError(f"expected HOST:PORT with a port in 0..65535, got {text!r}")
     return host, int(port)
 
 
@@ -294,13 +294,13 @@ def cmd_serve_ta(args) -> int:
 
 
 def cmd_agent(args) -> int:
+    address = _parse_listen(args.connect)
     directory, serial = _device_ref(args.device)
     try:
         dev = device.boot(directory, serial)
     except SucError as exc:
         print(f"boot failed: {exc}", file=sys.stderr)
         dev = device.load_device(directory, serial)  # loaded stays None
-    address = _parse_listen(args.connect)
     failures = 0
     for _ in range(args.repeat):
         outcome = netlink.run_agent(dev, address, timeout=args.timeout)

@@ -153,6 +153,29 @@ class FrameChannel:
         return frame
 
 
+class _SessionSocket:
+    """A session's socket whose recv and sendall share one deadline, so
+    the service's timeout bounds the whole exchange, not each call."""
+
+    def __init__(self, sock: socket.socket, timeout: float) -> None:
+        self._sock = sock
+        self._deadline = time.monotonic() + timeout
+
+    def _arm(self) -> None:
+        remaining = self._deadline - time.monotonic()
+        if remaining <= 0:
+            raise socket.timeout("session deadline passed")
+        self._sock.settimeout(remaining)
+
+    def recv(self, size: int) -> bytes:
+        self._arm()
+        return self._sock.recv(size)
+
+    def sendall(self, data: bytes) -> None:
+        self._arm()
+        self._sock.sendall(data)
+
+
 class _SessionChannel:
     """authority.DeviceChannel over a live agent session (service side)."""
 
@@ -190,7 +213,8 @@ class TaService:
 
     Unknown serials are enrolled with `enroll_pairs` challenges on first
     contact; known serials get one authentication per session, whose
-    result and wall-clock time are logged.
+    result and wall-clock time are logged. `timeout` bounds each whole
+    session, so a client that trickles bytes cannot hold a thread longer.
     """
 
     def __init__(
@@ -201,6 +225,8 @@ class TaService:
         entropy: EntropySource | None = None,
         timeout: float = 10.0,
     ) -> None:
+        if not 1 <= enroll_pairs <= 0xFFFF:  # ENROLL_BEGIN carries a u16
+            raise ValueError(f"enroll_pairs must be in 1..65535, got {enroll_pairs}")
         self.store = store
         self.enroll_pairs = enroll_pairs
         self.entropy = entropy or SystemEntropy()
@@ -244,8 +270,7 @@ class TaService:
             self.stop()
 
     def _serve_session(self, conn: socket.socket, peer) -> None:
-        conn.settimeout(self.timeout)
-        channel = FrameChannel(conn)
+        channel = FrameChannel(_SessionSocket(conn, self.timeout))
         try:
             hello = channel.recv()
             if hello.kind != FrameKind.HELLO:
@@ -261,8 +286,11 @@ class TaService:
         except (SucError, OSError) as exc:
             log.warning("session with %s aborted: %s", peer, exc)
             try:
-                channel.send(Frame(FrameKind.ERROR, str(exc).encode()))
-            except (ChannelError, OSError):
+                # past the deadline too, but without waiting: a short frame
+                # goes out unless the peer has stopped reading
+                conn.setblocking(False)
+                conn.sendall(encode(Frame(FrameKind.ERROR, str(exc).encode())))
+            except OSError:
                 pass
 
     def _run_enrollment(self, channel: FrameChannel, serial: str) -> None:

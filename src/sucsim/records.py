@@ -9,8 +9,9 @@ integers are plain decimal, so the content of a record has exactly one
 spelling and a changed byte cannot parse back to the same values.
 
 Every malformed input raises ValueError; callers map it to their own
-error type. Files are replaced atomically (write a sibling, then
-rename), so a reader never sees half a record.
+error type. Files are written whole atomically (write a sibling, then
+rename), so a reader never sees half a record; `append` adds one line
+in place and fsyncs it.
 """
 
 from __future__ import annotations
@@ -23,17 +24,27 @@ import re
 SERIAL_RE = re.compile(r"\A[A-Za-z0-9][A-Za-z0-9_.-]{0,63}\Z")
 
 
-def write(path: str, fields: dict, row_key: str = "", rows: list = ()) -> None:
+def write(path: str, fields: dict, groups=()) -> None:
     """Atomically replace path with the header fields, in dict order,
-    followed by one `row_key: value` line per row."""
+    followed by one `key: value` line per row of each (key, rows) group."""
     lines = [f"{key}: {value}" for key, value in fields.items()]
-    if rows:
-        # one join, not one more format per row: records run to 1000s of rows
-        lines.append(f"{row_key}: " + f"\n{row_key}: ".join(rows))
+    for key, rows in groups:
+        if rows:
+            # one join, not one more format per row: records run to 1000s of rows
+            lines.append(f"{key}: " + f"\n{key}: ".join(rows))
     tmp = path + ".tmp"
     with open(tmp, "w", encoding="ascii") as f:
         f.write("\n".join(lines) + "\n")
     os.replace(tmp, path)
+
+
+def append(path: str, key: str, value) -> None:
+    """Append one `key: value` line to the record at path and fsync it,
+    so the line is on disk when this returns."""
+    with open(path, "a", encoding="ascii") as f:
+        f.write(f"{key}: {value}\n")
+        f.flush()
+        os.fsync(f.fileno())
 
 
 def read(path: str) -> list:

@@ -186,6 +186,14 @@ def test_aggregate_constants_follow_their_definitions():
     assert c.k3_us == pytest.approx(expected_k3, rel=1e-12)
 
 
+def test_aggregate_model_follows_changed_constants():
+    consts = analysis.CostConstants(tau1=5.0, tau3=2.0)
+    for r, size in ((3, 256), (13, 2**21)):
+        assert tau_otpp(r, size, consts).total_ms == pytest.approx(
+            tau_otpp_aggregate_ms(r, size, consts), rel=1e-12
+        )
+
+
 def test_trng_entropy_demand():
     assert kappa_trng(3, 256) == 128
     assert kappa_trng(3, 256, "bytes") == 16

@@ -2,10 +2,13 @@
 
 Key behavioral claims:
   * a selected pair is consumed no matter how the handshake ends
+  * the use is one fsynced appended line, on disk before the challenge
+    leaves; the enrolled pair rows are never rewritten
   * forward authentication cannot distinguish an involution from any
     other bijection, the inverse direction can
 """
 
+import os
 import sys
 import threading
 
@@ -155,9 +158,45 @@ def test_exhausted_record_never_touches_the_channel(tmp_path, monkeypatch):
         return block
 
     store = stored(tmp_path, UirRecord(serial="s", params=SucParams(), created_at="t"))
-    monkeypatch.setattr(store, "save", calls.append)  # nor rewrites the record
+    monkeypatch.setattr(store, "mark_used", lambda *use: calls.append(use))  # nor uses a pair
     assert authenticate(FnChannel("s", spy), store) is AuthResult.EXHAUSTED
     assert calls == []
+
+
+def test_the_use_is_fsynced_before_the_challenge_is_sent(tmp_path, monkeypatch):
+    events = []
+    store = stored(tmp_path, enroll(FnChannel("s", lambda b: b), 2, SeededEntropy(0)))
+    path = store._path("s")
+    fsync = os.fsync
+
+    def spy_fsync(fd):
+        fsync(fd)
+        with open(path) as f:
+            events.append(("fsync", os.fstat(fd).st_ino, f.read().splitlines()[-1]))
+
+    def spy_respond(block):
+        events.append(("respond", block))
+        return block
+
+    monkeypatch.setattr(os, "fsync", spy_fsync)
+    assert authenticate(FnChannel("s", spy_respond), store) is AuthResult.ACCEPTED
+    first = store.load("s").pairs[0].x
+    assert events == [("fsync", os.stat(path).st_ino, "used: 0"), ("respond", first)]
+
+
+def test_authentication_appends_a_use_and_never_rewrites_the_pairs(tmp_path):
+    channel = FnChannel("s", lambda b: b)
+    store = stored(tmp_path, enroll(channel, 3, SeededEntropy(0)))
+    path = store._path("s")
+    inode = os.stat(path).st_ino
+    with open(path) as f:
+        enrolled = f.read()
+    for _ in range(4):
+        authenticate(channel, store)
+    assert os.stat(path).st_ino == inode
+    with open(path) as f:
+        assert f.read() == enrolled + "used: 0\nused: 1\nused: 2\n"
+    assert sorted(os.listdir(store.directory)) == ["s.uir"]
 
 
 def test_concurrent_authentications_of_one_serial_use_distinct_pairs(tmp_path):
@@ -206,6 +245,15 @@ def test_store_roundtrip_preserves_everything(tmp_path, make_device):
     ]
 
 
+def test_store_save_refuses_uses_that_are_not_a_prefix(tmp_path):
+    record = enroll(FnChannel("s", lambda b: b), 3, SeededEntropy(0))
+    record.pairs[1].used = True
+    store = UirStore(tmp_path / "uir")
+    with pytest.raises(ValueError, match="prefix"):
+        store.create(record)
+    assert not store.has("s")
+
+
 def test_store_save_persists_consumption(tmp_path, make_device):
     channel = booted_channel(make_device)
     store = stored(tmp_path, enroll(channel, 4, SeededEntropy(0)))
@@ -229,6 +277,11 @@ def test_store_missing_serial(tmp_path):
 def test_store_rejects_malformed_records(tmp_path):
     store = UirStore(tmp_path / "uir")
     path = store._path("bad")
+    head = "serial: bad\ncreated_at: t\nrounds: 15\nfeistel_r: 3\npool_digest: \n"
+    pair = "pair: 0001020304050607 08090a0b0c0d0e0f\n"
+    with open(path, "w") as f:
+        f.write(head + pair + pair + "used: 0\n")
+    assert [p.used for p in store.load("bad").pairs] == [True, False]
     cases = [
         "garbage\n",
         "serial: bad\ncreated_at: t\nrounds: 15\nfeistel_r: 3\n",  # no digest
@@ -237,6 +290,18 @@ def test_store_rejects_malformed_records(tmp_path):
         "serial: bad\ncreated_at: t\nrounds: 0\nfeistel_r: 3\npool_digest: \n",
         "serial: bad\ncreated_at: t\nrounds: 15\nfeistel_r: 3\npool_digest: 123\n",
         "created_at: t\nserial: bad\nrounds: 15\nfeistel_r: 3\npool_digest: \n",
+        head + pair.replace("\n", " 0\n"),  # a per-row use flag
+        head + pair + pair + "used: 1\n",  # out of order
+        head + pair + pair + "used: 0\nused: 0\n",  # duplicate
+        head + pair + "used: 0\nused: 1\n",  # more uses than pairs
+        head + "used: 0\n",
+        head + pair + "used: 0\n" + pair,  # a pair after a use
+        head + pair + "used: 00\n",
+        head + pair + "used: +0\n",
+        head + pair + "used: 0 \n",
+        head + pair + pair + "used: 0\nused: 1",  # torn final line
+        head + pair + pair + "used: 0\nuse",
+        head + pair + pair + "used: 0\n\n",
     ]
     for text in cases:
         with open(path, "w") as f:

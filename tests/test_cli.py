@@ -12,7 +12,7 @@ import threading
 
 import pytest
 
-from sucsim import cli, device
+from sucsim import cli, device, netlink
 from sucsim.entropy import SeededEntropy
 from sucsim.sbox4 import is_serpent_type, read_pool, write_pool
 from sucsim.sbox8 import profile8, table8_from_hex
@@ -464,6 +464,28 @@ def _spawn_service(uir_dir, enroll_pairs):
         raise RuntimeError(f"service did not start: {line!r}")
     port = int(line.rsplit(":", 1)[1])
     return proc, port
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["serve-ta", "--listen", "127.0.0.1:0", "--enroll-pairs", "0"],
+        ["serve-ta", "--listen", "127.0.0.1:0", "--enroll-pairs", "70000"],
+        ["serve-ta", "--listen", "127.0.0.1:99999"],
+        ["agent", "--device", "nowhere/dev01", "--connect", "127.0.0.1:99999"],
+    ],
+)
+def test_service_and_agent_usage_errors(capsys, tmp_path, monkeypatch, argv):
+    def started(service):
+        service.stop()
+        pytest.fail("the service started")
+
+    monkeypatch.setattr(netlink.TaService, "serve_forever", started)
+    if argv[0] == "serve-ta":
+        argv = argv + ["--uir", str(tmp_path / "uir")]
+    rc, _, err = run(capsys, *argv)
+    assert rc == 2
+    assert err.startswith("usage error:")
 
 
 def test_agent_against_served_authority(capsys, tmp_path, pool32_file):

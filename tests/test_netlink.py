@@ -14,7 +14,7 @@ import time
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sucsim import authority, device, netlink
+from sucsim import authority, device, netlink, records
 from sucsim.authority import AuthResult, UirStore
 from sucsim.cipher import apply
 from sucsim.entropy import SeededEntropy
@@ -336,14 +336,14 @@ def test_a_crash_after_the_challenge_leaves_the_pair_used(
 
 
 def test_a_failed_save_sends_no_challenge(tmp_path, booted, monkeypatch):
-    def broken_save(record):
+    def broken_append(path, key, value):
         raise OSError("disk full")
 
     dev = booted()
     store = UirStore(tmp_path / "uir")
     with TaService(store, enroll_pairs=2, entropy=SeededEntropy(0)) as svc:
         run_agent(dev, svc.address)
-        monkeypatch.setattr(store, "save", broken_save)
+        monkeypatch.setattr(records, "append", broken_append)
         outcome = run_agent(dev, svc.address)
     assert outcome.error == "disk full"
     assert outcome.answered == 0
@@ -382,6 +382,43 @@ def test_stop_returns_promptly(tmp_path):
     started = time.perf_counter()
     never_started.stop()
     assert time.perf_counter() - started < 0.1
+
+
+def test_a_trickling_client_is_cut_off_at_the_session_deadline(tmp_path):
+    # 11 bytes of HELLO at 0.3 s each: no single recv waits 0.5 s, the
+    # whole exchange does
+    svc = TaService(UirStore(tmp_path / "uir"), timeout=0.5)
+    svc.start()
+    replies = []
+
+    def trickle(sock):
+        sock.settimeout(0.3)
+        for byte in encode(Frame(FrameKind.HELLO, b"dev01"))[:-1]:
+            sock.sendall(bytes([byte]))
+            try:
+                replies.append(sock.recv(64))
+                return
+            except socket.timeout:
+                pass
+
+    with socket.create_connection(svc.address, timeout=5) as sock:
+        started = time.monotonic()
+        client = threading.Thread(target=trickle, args=(sock,))
+        client.start()
+        time.sleep(0.1)
+        svc.stop()
+        stopped = time.monotonic() - started
+        client.join(timeout=10)
+        cut_off = time.monotonic() - started
+    assert stopped < 1.0
+    assert cut_off < 1.0
+    assert [decode(r) for r in replies] == [Frame(FrameKind.ERROR, b"session timed out")]
+
+
+@pytest.mark.parametrize("pairs", [0, -1, 65536])
+def test_service_refuses_an_enrollment_size_outside_u16(tmp_path, pairs):
+    with pytest.raises(ValueError, match="enroll_pairs"):
+        TaService(UirStore(tmp_path / "uir"), enroll_pairs=pairs)
 
 
 def agent_against_fake_service(dev, frames):
