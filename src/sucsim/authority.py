@@ -11,10 +11,11 @@ Records live in a directory, one text file per serial. Its `pair:` rows
 are written once, at enrollment, and never rewritten. Pairs are used
 lowest first, so the used ones are a prefix, recorded as one appended
 `used: <index>` line per use. `authenticate` is the one authentication
-transaction: under the serial's lock it loads the record and appends and
-fsyncs the lowest unused index; the challenge goes out only after the
-lock is released, so the use is durable before the challenge leaves and
-no lock spans a network round trip. `load` is strict, so a torn or
+transaction: under the serial's lock (one of a fixed 64, shared by
+serials that hash alike) it loads the record and appends and fsyncs the
+lowest unused index; the challenge goes out only after the lock is
+released, so the use is durable before the challenge leaves and no lock
+spans a network round trip. `load` is strict, so a torn or
 duplicated `used:` line makes the record fail closed with
 EnrollmentError.
 """
@@ -24,16 +25,22 @@ from __future__ import annotations
 import datetime as _dt
 import enum
 import os
+import re
 import threading
 from dataclasses import dataclass, field
 from typing import Protocol
 
+import numpy as np
+
 from . import records
-from .cipher import SucParams, apply
+from .cipher import SucParams, apply, apply_batch
 from .entropy import EntropySource
 from .errors import ChannelError, EnrollmentError
 
 _HEADER_KEYS = ("serial", "created_at", "rounds", "feistel_r", "pool_digest")
+_PAIR_ROWS = re.compile(r"(?:pair: [0-9a-f]{16} [0-9a-f]{16}\n)*")
+# per-serial locks are striped: a fixed set, however many serials pass through
+_LOCK_STRIPES = 64
 
 
 class AuthResult(enum.Enum):
@@ -43,14 +50,19 @@ class AuthResult(enum.Enum):
 
 
 class DeviceChannel(Protocol):
-    """Anything that can answer a challenge block for a given device."""
+    """Anything that can answer challenge blocks for a given device.
+
+    `respond` takes one or more concatenated 8-byte blocks and returns
+    the device's answers, concatenated in the same order. Enrollment
+    sends all its challenges in one call; authentication sends one block.
+    """
 
     serial: str
 
-    def respond(self, block: bytes) -> bytes: ...
+    def respond(self, blocks: bytes) -> bytes: ...
 
 
-@dataclass
+@dataclass(slots=True)  # records load 1000s of these per authentication
 class CrPair:
     x: bytes
     y: bytes
@@ -84,20 +96,25 @@ def enroll(
     entropy: EntropySource,
     params: SucParams | None = None,
 ) -> UirRecord:
-    """Collect t distinct-challenge response pairs from the device."""
+    """Collect t distinct-challenge response pairs from the device.
+
+    The t challenges are drawn in one read, each repeat replaced by the
+    next fresh block of the stream (so the challenges are those of t
+    one-block draws that skip repeats), then sent in one `respond` call.
+    """
     if t < 1:
         raise ValueError("t must be >= 1")
     record = UirRecord(
         serial=channel.serial, params=params or SucParams(), created_at=_utcnow()
     )
-    seen = set()
-    while len(record.pairs) < t:
-        x = entropy.read(8)
-        if x in seen:
-            continue
-        seen.add(x)
-        y = channel.respond(x)
-        record.pairs.append(CrPair(x=x, y=bytes(y)))
+    drawn = entropy.read(8 * t)
+    xs = dict.fromkeys(drawn[i : i + 8] for i in range(0, len(drawn), 8))
+    while len(xs) < t:
+        xs.setdefault(entropy.read(8))
+    ys = bytes(channel.respond(b"".join(xs)))
+    if len(ys) != 8 * t:
+        raise ChannelError(f"{len(ys)} response bytes to {t} challenges")
+    record.pairs = [CrPair(x=x, y=ys[8 * i : 8 * i + 8]) for i, x in enumerate(xs)]
     return record
 
 
@@ -129,19 +146,13 @@ def authenticate(
 # ---------------------------------------------------------------------------
 # persistence
 
-def _pair(value: str, used: bool) -> CrPair:
-    x, y = value.split(" ")
-    return CrPair(x=records.hex_field(x, 8), y=records.hex_field(y, 8), used=used)
-
-
 class UirStore:
     """Directory of `<serial>.uir` records with per-serial write locks."""
 
     def __init__(self, directory) -> None:
         self.directory = str(directory)
         os.makedirs(self.directory, exist_ok=True)
-        self._locks: dict[str, threading.Lock] = {}
-        self._locks_guard = threading.Lock()
+        self._locks = tuple(threading.Lock() for _ in range(_LOCK_STRIPES))
 
     def _path(self, serial: str) -> str:
         if not records.SERIAL_RE.match(serial):
@@ -149,8 +160,9 @@ class UirStore:
         return os.path.join(self.directory, f"{serial}.uir")
 
     def lock_for(self, serial: str) -> threading.Lock:
-        with self._locks_guard:
-            return self._locks.setdefault(serial, threading.Lock())
+        """The lock of serial's stripe; serials in one stripe share it.
+        No caller holds two, so sharing can delay but not deadlock."""
+        return self._locks[hash(serial) % _LOCK_STRIPES]
 
     def has(self, serial: str) -> bool:
         return os.path.exists(self._path(serial))
@@ -195,12 +207,18 @@ class UirStore:
             first_use = next(
                 (i for i, line in enumerate(lines) if line.startswith("used: ")), len(lines)
             )
-            pairs = records.rows(lines[5:first_use], "pair")
+            rows = lines[5:first_use]
+            block = "\n".join(rows) + "\n" if rows else ""
+            end = _PAIR_ROWS.match(block).end()  # the end of the good rows
+            if end != len(block):
+                row = block.count("\n", 0, end)
+                raise ValueError(f"pair row {row} is malformed")
+            raw = bytes.fromhex(block.replace("pair: ", ""))  # skips the whitespace
             uses = records.rows(lines[first_use:], "used")
             if uses != [str(i) for i in range(len(uses))]:
                 raise ValueError("used lines do not read 0, 1, 2, ... in order")
-            if len(uses) > len(pairs):
-                raise ValueError(f"{len(uses)} uses of {len(pairs)} pairs")
+            if len(uses) > len(rows):
+                raise ValueError(f"{len(uses)} uses of {len(rows)} pairs")
             return UirRecord(
                 serial=serial,
                 params=SucParams(
@@ -208,7 +226,10 @@ class UirStore:
                     feistel_r=records.int_field(head["feistel_r"]),
                     pool_digest=records.hex_field(head["pool_digest"], 0, 32),
                 ),
-                pairs=[_pair(v, i < len(uses)) for i, v in enumerate(pairs)],
+                pairs=[
+                    CrPair(raw[i : i + 8], raw[i + 8 : i + 16], i < 16 * len(uses))
+                    for i in range(0, len(raw), 16)
+                ],
                 created_at=head["created_at"],
             )
         except FileNotFoundError:
@@ -240,7 +261,12 @@ class LocalDeviceChannel:
         self.serial = dev.serial
         self._dev = dev
 
-    def respond(self, block: bytes) -> bytes:
+    def respond(self, blocks: bytes) -> bytes:
+        """One block through `apply`, several through `apply_batch`, which
+        costs more for one block and far less per block for many."""
         if self._dev.loaded is None:
             raise ChannelError(f"device {self.serial} has no loaded instance")
-        return apply(self._dev.loaded, block)
+        if len(blocks) == 8:
+            return apply(self._dev.loaded, blocks)
+        xs = np.frombuffer(blocks, np.uint8).reshape(-1, 8)  # ValueError unless 8n bytes
+        return apply_batch(self._dev.loaded, xs).tobytes()

@@ -4,16 +4,20 @@ Wire format, fixed 7-byte header then payload:
 
     magic "SUC1" | kind (1 byte) | length (u16 big-endian) | payload
 
-Serial strings travel as UTF-8, blocks as 8 raw bytes, enrollment sizes
-as u16 big-endian, authentication results as one status byte.
+Serial strings travel as UTF-8, enrollment sizes as u16 big-endian,
+authentication results as one status byte. A CHALLENGE carries n >= 1
+concatenated 8-byte blocks, at most `BLOCKS_PER_FRAME` (8191, the most
+that fit the u16 length); its RESPONSE carries the n answers in the same
+order, so it is exactly as long as the CHALLENGE.
 
 A session is one TCP connection. The agent opens with HELLO carrying
 its serial; the service answers HELLO_ACK and then either enrolls the
-device (unknown serial: ENROLL_BEGIN, t challenge/response exchanges,
-ENROLL_END) or runs a single authentication (known serial: CHALLENGE,
-RESPONSE, AUTH_RESULT; an exhausted record sends AUTH_RESULT straight
-away). The service saves the pair's use before it sends the CHALLENGE
-(see `authority.authenticate`). An agent that cannot answer a challenge
+device (unknown serial: ENROLL_BEGIN, one CHALLENGE/RESPONSE exchange
+per 8191 of the t challenges, ENROLL_END) or runs a single
+authentication (known serial: a one-block CHALLENGE, RESPONSE,
+AUTH_RESULT; an exhausted record sends AUTH_RESULT straight away). The
+service saves the pair's use before it sends the CHALLENGE (see
+`authority.authenticate`). An agent that cannot answer a challenge
 replies with an ERROR frame, which the service scores as a rejection.
 """
 
@@ -28,9 +32,11 @@ import threading
 import time
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from . import authority, records
 from .authority import AuthResult, UirStore
-from .cipher import apply
+from .cipher import apply, apply_batch
 from .entropy import EntropySource, SystemEntropy
 from .errors import ChannelError, FrameError, ProtocolError, SucError
 
@@ -39,6 +45,7 @@ log = logging.getLogger("sucsim.netlink")
 MAGIC = b"SUC1"
 HEADER = struct.Struct(">4sBH")
 MAX_PAYLOAD = 65535
+BLOCKS_PER_FRAME = MAX_PAYLOAD // 8
 
 
 class FrameKind(enum.IntEnum):
@@ -183,12 +190,21 @@ class _SessionChannel:
         self.serial = serial
         self._channel = channel
 
-    def respond(self, block: bytes) -> bytes:
-        self._channel.send(Frame(FrameKind.CHALLENGE, block))
-        frame = self._channel.expect(FrameKind.RESPONSE)
-        if len(frame.payload) != 8:
-            raise ProtocolError(f"response of {len(frame.payload)} bytes")
-        return frame.payload
+    def respond(self, blocks: bytes) -> bytes:
+        """One CHALLENGE/RESPONSE exchange per BLOCKS_PER_FRAME blocks."""
+        step = 8 * BLOCKS_PER_FRAME
+        answers = []
+        for i in range(0, len(blocks), step):
+            challenge = blocks[i : i + step]
+            self._channel.send(Frame(FrameKind.CHALLENGE, challenge))
+            frame = self._channel.expect(FrameKind.RESPONSE)
+            if len(frame.payload) != len(challenge):
+                raise ProtocolError(
+                    f"response of {len(frame.payload)} bytes to a"
+                    f" {len(challenge)}-byte challenge"
+                )
+            answers.append(frame.payload)
+        return b"".join(answers)
 
 
 class _SessionServer(socketserver.ThreadingTCPServer):
@@ -329,9 +345,12 @@ def run_agent(dev, address: tuple, timeout: float = 10.0) -> AgentOutcome:
     """One agent session for a loaded (or deliberately unbootable) device.
 
     Answers CHALLENGE frames with the device cipher until the service
-    closes the exchange. A device with nothing loaded answers ERROR, so
-    the service rejects it. A session that ends without ENROLL_END,
-    AUTH_RESULT or ERROR reports the error "session closed".
+    closes the exchange: a one-block challenge through `apply`, a longer
+    one through `apply_batch`, which is dearer for one block and far
+    cheaper per block for many; `answered` counts blocks. A device with
+    nothing loaded answers ERROR, so the service rejects it. A session
+    that ends without ENROLL_END, AUTH_RESULT or ERROR reports the error
+    "session closed".
     """
     outcome = AgentOutcome(serial=dev.serial)
     started = time.perf_counter()
@@ -354,12 +373,16 @@ def run_agent(dev, address: tuple, timeout: float = 10.0) -> AgentOutcome:
                     )
                     outcome.error = "device not initialized"
                     break
-                if len(frame.payload) != 8:
-                    raise ProtocolError("challenge must be 8 bytes")
-                channel.send(
-                    Frame(FrameKind.RESPONSE, apply(dev.loaded, frame.payload))
-                )
-                outcome.answered += 1
+                n, rest = divmod(len(frame.payload), 8)
+                if n == 0 or rest:
+                    raise ProtocolError("challenge must be whole 8-byte blocks")
+                if n == 1:
+                    answer = apply(dev.loaded, frame.payload)
+                else:
+                    xs = np.frombuffer(frame.payload, np.uint8).reshape(n, 8)
+                    answer = apply_batch(dev.loaded, xs).tobytes()
+                channel.send(Frame(FrameKind.RESPONSE, answer))
+                outcome.answered += n
             elif frame.kind == FrameKind.ENROLL_BEGIN:
                 if len(frame.payload) != 2:
                     raise ProtocolError("ENROLL_BEGIN must carry 2 bytes")

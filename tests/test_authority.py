@@ -8,6 +8,7 @@ Key behavioral claims:
     other bijection, the inverse direction can
 """
 
+import hashlib
 import os
 import sys
 import threading
@@ -29,14 +30,14 @@ from sucsim.errors import ChannelError, EnrollmentError
 
 
 class FnChannel:
-    """Channel backed by an arbitrary byte-block function."""
+    """Channel that answers each 8-byte block with an arbitrary function."""
 
     def __init__(self, serial, fn):
         self.serial = serial
         self.fn = fn
 
-    def respond(self, block):
-        return self.fn(block)
+    def respond(self, blocks):
+        return b"".join(self.fn(blocks[i : i + 8]) for i in range(0, len(blocks), 8))
 
 
 class DeadChannel:
@@ -84,6 +85,26 @@ def test_enroll_skips_repeated_challenges():
     x1, x2 = b"A" * 8, b"B" * 8
     record = enroll(FnChannel("s", lambda b: b), 2, RecordedEntropy(x1 + x1 + x2))
     assert [p.x for p in record.pairs] == [x1, x2]
+
+
+def test_enroll_pairs_are_pinned(make_device):
+    # computed when each challenge was drawn and sent on its own
+    record = enroll(booted_channel(make_device), 64, SeededEntropy(0))
+    digest = hashlib.sha256(b"".join(p.x + p.y for p in record.pairs)).hexdigest()
+    assert digest == "ea37378269e4fc478c03510deae4fbf10371e35b9a19e6495587e753b5f6f686"
+
+
+def test_enroll_sends_every_challenge_in_one_call():
+    calls = []
+    channel = FnChannel("s", lambda b: b)
+    channel.respond = lambda blocks: calls.append(blocks) or blocks
+    record = enroll(channel, 300, SeededEntropy(4))
+    assert calls == [b"".join(p.x for p in record.pairs)]
+
+
+def test_enroll_refuses_an_answer_of_the_wrong_length():
+    with pytest.raises(ChannelError, match="response bytes"):
+        enroll(FnChannel("s", lambda b: b[:4]), 4, SeededEntropy(0))
 
 
 def test_enroll_rejects_zero_pairs():
@@ -319,6 +340,35 @@ def test_store_refuses_unsafe_serials(tmp_path, serial):
     assert [p.name for p in tmp_path.rglob("*")] == ["uir"]
 
 
+@pytest.mark.parametrize(
+    "row",
+    [
+        "pair: 0123456789ABCDEF 0123456789abcdef",
+        "pair: 0123456789abcdef0123456789abcdef",
+        "pair: 0123456789abcde 0123456789abcdef",
+    ],
+    ids=["uppercase", "no-space", "short"],
+)
+def test_a_bad_pair_row_deep_in_a_record_fails_closed(tmp_path, row):
+    store = UirStore(tmp_path / "uir")
+    store.create(enroll(FnChannel("s", lambda b: b), 1024, SeededEntropy(0)))
+    path = store._path("s")
+    lines = open(path).read().split("\n")
+    assert len(store.load("s").pairs) == 1024
+    lines[5 + 700] = row  # after the five header lines
+    with open(path, "w") as f:
+        f.write("\n".join(lines))
+    with pytest.raises(EnrollmentError, match="pair row 700 is malformed"):
+        store.load("s")
+
+
+def test_store_locks_are_a_fixed_set(tmp_path):
+    store = UirStore(tmp_path / "uir")
+    serials = [f"dev{i:05d}" for i in range(10_000)]
+    assert len({store.lock_for(s) for s in serials}) <= 64
+    assert all(store.lock_for(s) is store.lock_for(s) for s in serials)
+
+
 def test_store_pair_lines_are_strict(tmp_path):
     store = UirStore(tmp_path / "uir")
     record = enroll(FnChannel("s", lambda b: b), 2, SeededEntropy(0))
@@ -353,6 +403,13 @@ def test_local_channel_requires_a_booted_device(make_device):
     dev = device.load_device(d, serial)  # not booted
     with pytest.raises(ChannelError):
         LocalDeviceChannel(dev).respond(bytes(8))
+
+
+def test_local_channel_answers_many_blocks_as_apply_answers_each(make_device):
+    channel = booted_channel(make_device)
+    xs = SeededEntropy(5).read(8 * 100)
+    ys = [apply(channel._dev.loaded, xs[i : i + 8]) for i in range(0, len(xs), 8)]
+    assert channel.respond(xs) == b"".join(ys)
 
 
 def test_local_channel_is_involutive(make_device):

@@ -11,12 +11,13 @@ import socket
 import threading
 import time
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from sucsim import authority, device, netlink, records
 from sucsim.authority import AuthResult, UirStore
-from sucsim.cipher import apply
+from sucsim.cipher import apply, apply_batch
 from sucsim.entropy import SeededEntropy
 from sucsim.errors import FrameError
 from sucsim.netlink import (
@@ -164,6 +165,51 @@ def test_first_contact_enrolls(tmp_path, booted):
     for p in record.pairs:
         assert p.y == apply(dev.loaded, p.x)
         assert not p.used
+
+
+def test_an_enrollment_past_one_frame_takes_two_challenges(tmp_path, booted, monkeypatch):
+    sent = []
+
+    def recording_encode(frame, encode=netlink.encode):
+        sent.append((frame.kind, len(frame.payload)))
+        return encode(frame)
+
+    monkeypatch.setattr(netlink, "encode", recording_encode)
+    dev = booted()
+    store = UirStore(tmp_path / "uir")
+    with TaService(store, enroll_pairs=8192, entropy=SeededEntropy(0)) as svc:
+        outcome = run_agent(dev, svc.address)
+    assert outcome.enrolled == outcome.answered == 8192 and outcome.ok
+    assert sent[2:] == [
+        (FrameKind.ENROLL_BEGIN, 2),
+        (FrameKind.CHALLENGE, 8 * 8191),
+        (FrameKind.RESPONSE, 8 * 8191),
+        (FrameKind.CHALLENGE, 8),
+        (FrameKind.RESPONSE, 8),
+        (FrameKind.ENROLL_END, 0),
+    ]
+    record = store.load("dev01")
+    xs = np.frombuffer(b"".join(p.x for p in record.pairs), np.uint8).reshape(-1, 8)
+    ys = np.frombuffer(b"".join(p.y for p in record.pairs), np.uint8).reshape(-1, 8)
+    assert len({p.x for p in record.pairs}) == 8192
+    assert np.array_equal(apply_batch(dev.loaded, xs), ys)
+
+
+def test_a_short_response_gets_an_error_and_no_record(tmp_path):
+    store = UirStore(tmp_path / "uir")
+    with TaService(store, enroll_pairs=4, entropy=SeededEntropy(0)) as svc:
+        with socket.create_connection(svc.address, timeout=5) as sock:
+            channel = netlink.FrameChannel(sock)
+            channel.send(Frame(FrameKind.HELLO, b"dev01"))
+            channel.expect(FrameKind.HELLO_ACK)
+            channel.expect(FrameKind.ENROLL_BEGIN)
+            challenge = channel.expect(FrameKind.CHALLENGE)
+            assert len(challenge.payload) == 32
+            channel.send(Frame(FrameKind.RESPONSE, challenge.payload[:24]))
+            reply = channel.recv()
+    assert reply.kind is FrameKind.ERROR
+    assert b"response of 24 bytes to a 32-byte challenge" in reply.payload
+    assert not store.has("dev01")
 
 
 def test_known_device_authenticates_until_exhausted(tmp_path, booted, caplog):
@@ -448,9 +494,11 @@ def agent_against_fake_service(dev, frames):
 
 
 def test_agent_refuses_oversized_challenge(booted):
-    # a CHALLENGE whose payload is not 8 bytes is a protocol violation
-    with pytest.raises(netlink.ProtocolError):
-        agent_against_fake_service(booted(), [Frame(FrameKind.CHALLENGE, b"\x00" * 15)])
+    # a CHALLENGE whose payload is not whole 8-byte blocks is a protocol violation
+    dev = booted()
+    for size in (0, 12, 15):
+        with pytest.raises(netlink.ProtocolError, match="whole 8-byte blocks"):
+            agent_against_fake_service(dev, [Frame(FrameKind.CHALLENGE, bytes(size))])
 
 
 @pytest.mark.parametrize(
