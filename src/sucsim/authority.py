@@ -11,22 +11,21 @@ Records live in a directory, one text file per serial. Its `pair:` rows
 are written once, at enrollment, and never rewritten. Pairs are used
 lowest first, so the used ones are a prefix, recorded as one appended
 `used: <index>` line per use. `authenticate` is the one authentication
-transaction: under the serial's lock (one of a fixed 64, shared by
-serials that hash alike) it loads the record and appends and fsyncs the
+transaction: under the record's `flock` (POSIX), which excludes threads
+and processes alike, it loads the record and appends and fsyncs the
 lowest unused index; the challenge goes out only after the lock is
 released, so the use is durable before the challenge leaves and no lock
-spans a network round trip. `load` is strict, so a torn or
-duplicated `used:` line makes the record fail closed with
-EnrollmentError.
+spans a network round trip. `load` is strict, so a torn or duplicated
+`used:` line makes the record fail closed with EnrollmentError.
 """
 
 from __future__ import annotations
 
 import datetime as _dt
 import enum
+import fcntl
 import os
 import re
-import threading
 from dataclasses import dataclass, field
 from typing import Protocol
 
@@ -39,8 +38,6 @@ from .errors import ChannelError, EnrollmentError
 
 _HEADER_KEYS = ("serial", "created_at", "rounds", "feistel_r", "pool_digest")
 _PAIR_ROWS = re.compile(r"(?:pair: [0-9a-f]{16} [0-9a-f]{16}\n)*")
-# per-serial locks are striped: a fixed set, however many serials pass through
-_LOCK_STRIPES = 64
 
 
 class AuthResult(enum.Enum):
@@ -146,23 +143,46 @@ def authenticate(
 # ---------------------------------------------------------------------------
 # persistence
 
+class _RecordLock:
+    """An exclusive `flock` on a fresh open of one record, so it excludes
+    threads and processes alike; closing the file releases it."""
+
+    def __init__(self, path: str, serial: str) -> None:
+        self._path, self._serial = path, serial
+
+    def acquire(self) -> None:
+        try:
+            self._file = open(self._path, "rb")  # never creates a record
+        except FileNotFoundError:
+            raise EnrollmentError(f"no record for serial {self._serial!r}") from None
+        fcntl.flock(self._file, fcntl.LOCK_EX)
+
+    def release(self) -> None:
+        self._file.close()
+
+    def __enter__(self) -> None:
+        self.acquire()
+
+    def __exit__(self, *exc) -> None:
+        self.release()
+
+
 class UirStore:
-    """Directory of `<serial>.uir` records with per-serial write locks."""
+    """Directory of `<serial>.uir` records, each its own lock."""
 
     def __init__(self, directory) -> None:
         self.directory = str(directory)
         os.makedirs(self.directory, exist_ok=True)
-        self._locks = tuple(threading.Lock() for _ in range(_LOCK_STRIPES))
 
     def _path(self, serial: str) -> str:
         if not records.SERIAL_RE.match(serial):
             raise EnrollmentError(f"invalid serial {serial[:80]!r}")
         return os.path.join(self.directory, f"{serial}.uir")
 
-    def lock_for(self, serial: str) -> threading.Lock:
-        """The lock of serial's stripe; serials in one stripe share it.
-        No caller holds two, so sharing can delay but not deadlock."""
-        return self._locks[hash(serial) % _LOCK_STRIPES]
+    def lock_for(self, serial: str) -> _RecordLock:
+        """Serial's record lock: `acquire()` opens and flocks the file,
+        EnrollmentError if there is none; `release()` closes it."""
+        return _RecordLock(self._path(serial), serial)
 
     def has(self, serial: str) -> bool:
         return os.path.exists(self._path(serial))
@@ -174,8 +194,10 @@ class UirStore:
         return sorted(s for s in stems if records.SERIAL_RE.match(s))
 
     def save(self, record: UirRecord) -> None:
-        """Write the whole record: its pair rows, then a `used:` line per
-        used pair; the used pairs must be a prefix."""
+        """Create a new record's file whole, in one atomic link, or raise
+        FileExistsError. Uses are appended by `mark_used`, never saved."""
+        if any(p.used for p in record.pairs):
+            raise ValueError("a new record cannot have a used pair")
         header = {
             "serial": record.serial,
             "created_at": record.created_at,
@@ -183,15 +205,8 @@ class UirStore:
             "feistel_r": record.params.feistel_r,
             "pool_digest": record.params.pool_digest.hex(),
         }
-        used = len(record.pairs) - record.unused_count
-        if not all(p.used for p in record.pairs[:used]):
-            raise ValueError("used pairs must be a prefix of the record")
         pairs = [f"{p.x.hex()} {p.y.hex()}" for p in record.pairs]
-        records.write(
-            self._path(record.serial),
-            header,
-            (("pair", pairs), ("used", [str(i) for i in range(used)])),
-        )
+        records.write(self._path(record.serial), header, (("pair", pairs),), replace=False)
 
     def mark_used(self, serial: str, index: int) -> None:
         """Durably record the use of pair index: one fsynced appended line."""
@@ -239,18 +254,18 @@ class UirStore:
 
     def create(self, record: UirRecord) -> None:
         """Persist a new record; duplicate serials are refused."""
-        with self.lock_for(record.serial):
-            if self.has(record.serial):
-                raise EnrollmentError(f"serial {record.serial!r} already enrolled")
+        try:
             self.save(record)
+        except FileExistsError:
+            raise EnrollmentError(f"serial {record.serial!r} already enrolled") from None
 
     def stats(self) -> list:
         """(serial, total pairs, used, unused) per enrolled device."""
         out = []
         for serial in self.serials():
             record = self.load(serial)
-            used = sum(1 for p in record.pairs if p.used)
-            out.append((serial, len(record.pairs), used, len(record.pairs) - used))
+            unused = record.unused_count
+            out.append((serial, len(record.pairs), len(record.pairs) - unused, unused))
         return out
 
 

@@ -206,7 +206,7 @@ def save_envm(dev: DeviceState, directory) -> None:
             ciphertext=b.ciphertext.hex(),
             tag=b.tag.hex(),
         )
-    records.write(envm_path(directory, dev.serial), fields)
+    records.write(envm_path(directory, dev.serial), fields, replace=True)
 
 
 def _parse_envm(lines: list, serial: str) -> Envm:

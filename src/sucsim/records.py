@@ -9,9 +9,9 @@ integers are plain decimal, so the content of a record has exactly one
 spelling and a changed byte cannot parse back to the same values.
 
 Every malformed input raises ValueError; callers map it to their own
-error type. Files are written whole atomically (write a sibling, then
-rename), so a reader never sees half a record; `append` adds one line
-in place and fsyncs it.
+error type. Files are written whole atomically (write a uniquely named
+sibling, then rename or link it into place), so a reader never sees half
+a record; `append` adds one line in place and fsyncs it.
 """
 
 from __future__ import annotations
@@ -24,18 +24,22 @@ import re
 SERIAL_RE = re.compile(r"\A[A-Za-z0-9][A-Za-z0-9_.-]{0,63}\Z")
 
 
-def write(path: str, fields: dict, groups=()) -> None:
-    """Atomically replace path with the header fields, in dict order,
-    followed by one `key: value` line per row of each (key, rows) group."""
+def write(path: str, fields: dict, groups=(), *, replace: bool) -> None:
+    """Atomically write the header fields, in dict order, then a `key: value` line per row
+    of each (key, rows) group to path: over a file there if replace, else FileExistsError."""
     lines = [f"{key}: {value}" for key, value in fields.items()]
     for key, rows in groups:
         if rows:
             # one join, not one more format per row: records run to 1000s of rows
             lines.append(f"{key}: " + f"\n{key}: ".join(rows))
-    tmp = path + ".tmp"
-    with open(tmp, "w", encoding="ascii") as f:
-        f.write("\n".join(lines) + "\n")
-    os.replace(tmp, path)
+    tmp = f"{path}.{os.urandom(8).hex()}.tmp"  # concurrent writers never share one
+    try:
+        with open(tmp, "x", encoding="ascii") as f:
+            f.write("\n".join(lines) + "\n")
+        (os.replace if replace else os.link)(tmp, path)
+    finally:
+        if os.path.lexists(tmp):  # it is gone once renamed
+            os.unlink(tmp)
 
 
 def append(path: str, key: str, value) -> None:

@@ -4,14 +4,18 @@ Key behavioral claims:
   * a selected pair is consumed no matter how the handshake ends
   * the use is one fsynced appended line, on disk before the challenge
     leaves; the enrolled pair rows are never rewritten
+  * two processes on one store never send a challenge twice nor enroll
+    a serial twice
   * forward authentication cannot distinguish an involution from any
     other bijection, the inverse direction can
 """
 
 import hashlib
 import os
+import subprocess
 import sys
 import threading
+import time
 
 import pytest
 
@@ -249,12 +253,128 @@ def test_concurrent_authentications_of_one_serial_use_distinct_pairs(tmp_path):
 
 
 # ---------------------------------------------------------------------------
+# other processes on one store
+
+# Each child imports, prints "ready", then waits for a line on stdin, so
+# a test can release several at once.
+AUTH_CHILD = """
+import sys
+from sucsim.authority import UirStore, authenticate
+class Echo:
+    serial = "s"
+    def respond(self, block):
+        print("sent", block.hex())
+        return block
+print("ready", flush=True)
+sys.stdin.readline()
+for _ in range(int(sys.argv[2])):
+    print(authenticate(Echo(), UirStore(sys.argv[1])).value, flush=True)
+"""
+
+CREATE_CHILD = """
+import sys
+from sucsim.authority import UirStore, enroll
+from sucsim.entropy import SeededEntropy
+from sucsim.errors import EnrollmentError
+class Echo:
+    serial = "s"
+    def respond(self, blocks):
+        return blocks
+record = enroll(Echo(), 4096, SeededEntropy(0))
+print("ready", flush=True)
+sys.stdin.readline()
+try:
+    UirStore(sys.argv[1]).create(record)
+    print("created")
+except EnrollmentError as exc:
+    print(exc)
+"""
+
+
+@pytest.fixture
+def children():
+    """Start n copies of a child script, each past its imports and waiting."""
+    procs = []
+
+    def start(script, *args, n=1):
+        started = [
+            subprocess.Popen(
+                [sys.executable, "-c", script, *map(str, args)],
+                stdin=subprocess.PIPE,
+                stdout=subprocess.PIPE,
+                text=True,
+            )
+            for _ in range(n)
+        ]
+        procs.extend(started)
+        for proc in started:
+            assert proc.stdout.readline() == "ready\n"
+        return started
+
+    yield start
+    for proc in procs:
+        with proc:  # closes the pipes and reaps the child
+            proc.kill()
+
+
+def release(procs):
+    for proc in procs:
+        proc.stdin.write("go\n")
+        proc.stdin.flush()
+
+
+def outputs(procs):
+    return [proc.communicate(timeout=60)[0].splitlines() for proc in procs]
+
+
+def test_a_held_record_lock_stops_another_process(tmp_path, children):
+    store = stored(tmp_path, enroll(FnChannel("s", lambda b: b), 2, SeededEntropy(0)))
+    with open(store._path("s")) as f:
+        enrolled = f.read()
+    first = store.load("s").pairs[0].x.hex()
+    lock = store.lock_for("s")
+    lock.acquire()
+    try:
+        (proc,) = children(AUTH_CHILD, store.directory, 1)
+        release([proc])
+        time.sleep(0.5)
+        assert proc.poll() is None
+        with open(store._path("s")) as f:
+            assert f.read() == enrolled  # no use appended under the held lock
+    finally:
+        lock.release()
+    assert outputs([proc]) == [[f"sent {first}", "accepted"]]
+    with open(store._path("s")) as f:
+        assert f.read() == enrolled + "used: 0\n"
+
+
+def test_two_processes_authenticating_one_record_use_distinct_pairs(tmp_path, children):
+    store = stored(tmp_path, enroll(FnChannel("s", lambda b: b), 250, SeededEntropy(0)))
+    procs = children(AUTH_CHILD, store.directory, 100, n=2)
+    release(procs)
+    lines = [line for out in outputs(procs) for line in out]
+    sent = [line for line in lines if line.startswith("sent ")]
+    assert sorted(set(lines) - set(sent)) == ["accepted"]
+    assert len(lines) - len(sent) == 200
+    assert len(set(sent)) == 200  # a lost update would send a challenge twice
+    assert store.load("s").unused_count == 50
+
+
+def test_two_processes_creating_one_serial_enroll_it_once(tmp_path, children):
+    store = UirStore(tmp_path / "uir")
+    procs = children(CREATE_CHILD, store.directory, n=2)
+    release(procs)
+    assert sorted(outputs(procs)) == [["created"], ["serial 's' already enrolled"]]
+    assert os.listdir(store.directory) == ["s.uir"]  # no staging file left behind
+    assert len(store.load("s").pairs) == 4096
+
+
+# ---------------------------------------------------------------------------
 # record store
 
 def test_store_roundtrip_preserves_everything(tmp_path, make_device):
     channel = booted_channel(make_device)
     record = enroll(channel, 5, SeededEntropy(0), params=channel._dev.envm.params)
-    record.pairs[0].used = True
     store = UirStore(tmp_path / "uir")
     store.create(record)
     back = store.load("dev01")
@@ -266,11 +386,11 @@ def test_store_roundtrip_preserves_everything(tmp_path, make_device):
     ]
 
 
-def test_store_save_refuses_uses_that_are_not_a_prefix(tmp_path):
+def test_store_save_refuses_a_record_with_a_used_pair(tmp_path):
     record = enroll(FnChannel("s", lambda b: b), 3, SeededEntropy(0))
-    record.pairs[1].used = True
+    record.pairs[0].used = True
     store = UirStore(tmp_path / "uir")
-    with pytest.raises(ValueError, match="prefix"):
+    with pytest.raises(ValueError, match="used pair"):
         store.create(record)
     assert not store.has("s")
 
@@ -360,13 +480,6 @@ def test_a_bad_pair_row_deep_in_a_record_fails_closed(tmp_path, row):
         f.write("\n".join(lines))
     with pytest.raises(EnrollmentError, match="pair row 700 is malformed"):
         store.load("s")
-
-
-def test_store_locks_are_a_fixed_set(tmp_path):
-    store = UirStore(tmp_path / "uir")
-    serials = [f"dev{i:05d}" for i in range(10_000)]
-    assert len({store.lock_for(s) for s in serials}) <= 64
-    assert all(store.lock_for(s) is store.lock_for(s) for s in serials)
 
 
 def test_store_pair_lines_are_strict(tmp_path):

@@ -373,6 +373,18 @@ def test_uir_stats_json(capsys, tmp_path, pool32_file):
     assert rows == [{"serial": name, "pairs": 4, "used": 1, "unused": 3}]
 
 
+def test_authenticate_without_a_record_is_a_clean_error(capsys, tmp_path, pool32_file):
+    prefix = str(tmp_path / "dev01")
+    uir = tmp_path / "uir"
+    run(capsys, "personalize", "--device", prefix, "--pool", pool32_file,
+        "--seed", "5")
+    rc, out, err = run(capsys, "authenticate", "--sn", "dev01",
+                       "--device", prefix, "--uir", str(uir))
+    assert rc == 1
+    assert (out, err) == ("", "error: no record for serial 'dev01'\n")
+    assert list(uir.iterdir()) == []  # the record lock created nothing
+
+
 def test_enroll_serial_mismatch_is_usage_error(capsys, tmp_path, pool32_file):
     prefix = str(tmp_path / "dev01")
     run(capsys, "personalize", "--device", prefix, "--pool", pool32_file,

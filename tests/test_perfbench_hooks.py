@@ -1,4 +1,5 @@
-"""The benchmark's tracer still finds every library name it patches.
+"""The benchmark's tracer still finds every library name it patches,
+and a traced authentication still runs.
 
 `perfbench/tracing.py` wraps sucsim functions by module and attribute
 name, so a rename under src/ would otherwise show only when a traced
@@ -9,13 +10,28 @@ import importlib
 import importlib.util
 import pathlib
 
+from sucsim.authority import AuthResult, UirStore, authenticate, enroll
+from sucsim.entropy import SeededEntropy
+
 TRACING = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
 
-def test_the_tracer_installs_and_restores_its_hooks():
+def load_tracing():
     spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
     tracing = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracing)
+    return tracing
+
+
+class Echo:
+    serial = "s"
+
+    def respond(self, blocks):
+        return blocks
+
+
+def test_the_tracer_installs_and_restores_its_hooks():
+    tracing = load_tracing()
     targets = [
         tracing._resolve(importlib.import_module(f"sucsim.{module}"), path)
         for pairs in tracing.SPAN_TARGETS.values()
@@ -32,3 +48,20 @@ def test_the_tracer_installs_and_restores_its_hooks():
     finally:
         tracer.restore()
     assert [owner.__dict__[attr] for owner, attr in targets] == originals
+
+
+def test_a_traced_authentication_waits_on_the_record_lock_once(tmp_path):
+    # the tracer wraps whatever `lock_for` returns and calls its
+    # acquire() and release(); traced service runs rely on that contract
+    tracing = load_tracing()
+    store = UirStore(tmp_path)
+    store.create(enroll(Echo(), 4, SeededEntropy(0)))
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        result = authenticate(Echo(), store)
+    finally:
+        tracer.restore()
+    assert result is AuthResult.ACCEPTED
+    assert [span[1] for span in tracer.spans].count(tracing.LOCK_WAIT) == 1
+    assert store.load("s").unused_count == 3
