@@ -24,7 +24,6 @@ import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.stats import binom, chi2
 
 from .cipher import SucParams, apply_batch, draw_instance
 from .entropy import SeededEntropy
@@ -129,16 +128,55 @@ class GofResult:
 
     @property
     def rejected(self) -> bool:
-        return self.p_value < self.significance
+        # a nan p-value is rejected, not passed
+        return not self.p_value >= self.significance
+
+
+# Binomial(64, 1/2) pmf, exact up to the final rounding to float
+_BINOM64_PMF = np.array([math.comb(64, k) / 2**64 for k in range(65)])
+
+
+def chi2_sf(x: float, dof: int) -> float:
+    """Survival function P(X >= x) of the chi-square law with integer dof.
+
+    Closed forms with h = x / 2: for even dof = 2m it is the Poisson sum
+    e^-h * sum_{j<m} h^j / j!; for odd dof = 2m + 1 it is
+    erfc(sqrt(h)) + e^-h * sum_{1<=j<=m} h^(j-1/2) / Gamma(j + 1/2).
+    Terms are evaluated in log space, so a huge x gives 0.0 rather than
+    overflowing.
+    """
+    if dof < 1:
+        raise ValueError("dof must be >= 1")
+    if x <= 0:
+        return 1.0
+    if math.isinf(x):
+        return 0.0
+    h = x / 2
+    log_h = math.log(h)
+    if dof % 2 == 0:
+        head = 0.0
+        exponents = [j * log_h - h - math.lgamma(j + 1) for j in range(dof // 2)]
+    else:
+        head = math.erfc(math.sqrt(h))
+        exponents = [
+            (j - 0.5) * log_h - h - math.lgamma(j + 0.5)
+            for j in range(1, dof // 2 + 1)
+        ]
+    # capped against rounding past 1; a nan x stays nan
+    return min(head + math.fsum(math.exp(e) for e in exponents), 1.0)
 
 
 def chi_square_binomial(
     counts: np.ndarray, significance: float = 0.01, min_expected: float = 5.0
 ) -> GofResult:
-    """Goodness of fit against Binomial(64, 1/2), pooling sparse tail bins."""
+    """Goodness of fit against Binomial(64, 1/2), pooling sparse tail bins.
+
+    Raises ValueError when fewer than two bins remain after pooling (an
+    empty or tiny histogram), since no fit can then be tested.
+    """
     obs = np.asarray(counts, dtype=np.float64).copy()
     total = obs.sum()
-    exp = total * binom.pmf(np.arange(65), 64, 0.5)
+    exp = total * _BINOM64_PMF
 
     # pool from each tail inward until every bin expects >= min_expected
     lo, hi = 0, 64
@@ -150,6 +188,11 @@ def chi_square_binomial(
         exp[hi - 1] += exp[hi]
         obs[hi - 1] += obs[hi]
         hi -= 1
+    if hi == lo:
+        raise ValueError(
+            f"{total:g} samples pool into one bin; a chi-square fit needs "
+            f"at least two bins expecting >= {min_expected:g}"
+        )
     obs = obs[lo : hi + 1]
     exp = exp[lo : hi + 1]
     stat = float(((obs - exp) ** 2 / exp).sum())
@@ -157,7 +200,7 @@ def chi_square_binomial(
     return GofResult(
         statistic=stat,
         dof=dof,
-        p_value=float(chi2.sf(stat, dof)),
+        p_value=chi2_sf(stat, dof),
         significance=significance,
     )
 

@@ -83,11 +83,41 @@ class EntropySource:
             self.rejections += 1
 
     def shuffled(self, items) -> list:
-        """Fisher-Yates shuffle driven by draw_index; returns a new list."""
+        """Fisher-Yates shuffle driven by draw_index; returns a new list.
+
+        The draws run inline on a local copy of the reservoir, which is
+        written back with the counters on return or on EntropyExhausted,
+        so the result, the stream and every counter match a loop of
+        draw_index(i + 1) calls exactly.
+        """
         out = list(items)
-        for i in range(len(out) - 1, 0, -1):
-            j = self.draw_index(i + 1)
-            out[i], out[j] = out[j], out[i]
+        generate = self._generate
+        reservoir = self._reservoir
+        have = start = self._reservoir_bits
+        nbytes = draws = rejections = 0
+        try:
+            for i in range(len(out) - 1, 0, -1):
+                k = i.bit_length()  # _bit_length_ceil(i + 1)
+                while True:
+                    while have < k:
+                        reservoir |= generate(1)[0] << have
+                        have += 8
+                        nbytes += 1
+                    j = reservoir & ((1 << k) - 1)
+                    reservoir >>= k
+                    have -= k
+                    if j <= i:
+                        break
+                    rejections += 1
+                draws += 1
+                out[i], out[j] = out[j], out[i]
+        finally:
+            self._reservoir, self._reservoir_bits = reservoir, have
+            self.bytes_consumed += nbytes
+            # every bit read into the reservoir was handed out or is left
+            self.bits_consumed += 8 * nbytes + start - have
+            self.index_draws += draws
+            self.rejections += rejections
         return out
 
 

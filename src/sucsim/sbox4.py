@@ -98,10 +98,18 @@ def is_serpent_type(table) -> bool:
     return p.bijective and p.lin == 8 and p.diff == 4 and p.branch_min >= 2
 
 
+# _NEAR[t]: bitmask of the values v with v ^ t of weight < 2. A one-bit
+# input difference must flip at least two output bits, so a position one
+# bit away from a position holding t cannot take any of these values.
+_NEAR = tuple(
+    sum(1 << v for v in range(16) if (v ^ t).bit_count() < 2) for t in range(16)
+)
+
+
 def sample_serpent_type(
     entropy: EntropySource, max_candidates: int = 100_000
 ) -> SBox4:
-    """Draw one uniform-ish random member of the Serpent-type class.
+    """Draw one random member of the Serpent-type class.
 
     Randomized DFS over partial permutations. A value v at position x is
     admissible only if, against every earlier position xp, the running
@@ -109,14 +117,17 @@ def sample_serpent_type(
     differences keep >= 2 output bits. Completed candidates face the full
     profile; at most max_candidates of them are tested before giving up.
 
+    The DFS is not uniform over the class: some members are reached far
+    more often than others (ROADMAP item 2 measures the bias and plans an
+    exact sampler). Every visited node draws one shuffle of range(16).
+
     Deterministic for a deterministic entropy source.
     """
     table = [-1] * 16
-    used = [False] * 16
-    ddt = [[0] * 16 for _ in range(16)]
+    ddt = [0] * 256  # ddt[16 * a + b], counted in steps of 2
     tested = 0
 
-    def extend(x: int) -> bool:
+    def extend(x: int, used: int) -> bool:
         nonlocal tested
         if x == 16:
             tested += 1
@@ -125,31 +136,30 @@ def sample_serpent_type(
                     f"no Serpent-type S-box within {max_candidates} candidates"
                 )
             return is_serpent_type(table)
+        # values already placed, or one bit away from an earlier one-bit
+        # neighbour's value; the DDT rows test the rest
+        blocked = used
+        for d in (1, 2, 4, 8):
+            if x ^ d < x:
+                blocked |= _NEAR[table[x ^ d]]
+        rows = [(16 * (x ^ xp), table[xp]) for xp in range(x)]
         for v in entropy.shuffled(range(16)):
-            if used[v]:
+            if blocked >> v & 1:
                 continue
-            ok = True
-            for xp in range(x):
-                a = x ^ xp
-                b = v ^ table[xp]
-                if ddt[a][b] + 2 > 4 or (a.bit_count() == 1 and b.bit_count() < 2):
-                    ok = False
+            for row, t in rows:
+                if ddt[row + (v ^ t)] > 2:  # one more pair would pass 4
                     break
-            if not ok:
-                continue
-            for xp in range(x):
-                ddt[x ^ xp][v ^ table[xp]] += 2
-            table[x] = v
-            used[v] = True
-            if extend(x + 1):
-                return True
-            for xp in range(x):
-                ddt[x ^ xp][v ^ table[xp]] -= 2
-            table[x] = -1
-            used[v] = False
+            else:
+                for row, t in rows:
+                    ddt[row + (v ^ t)] += 2
+                table[x] = v
+                if extend(x + 1, used | 1 << v):
+                    return True
+                for row, t in rows:
+                    ddt[row + (v ^ t)] -= 2
         return False
 
-    if not extend(0):
+    if not extend(0, 0):
         # With pruning only on sound necessary conditions the search space
         # always contains members, so this is unreachable in practice.
         raise SearchBudgetExceeded("search space exhausted")

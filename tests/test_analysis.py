@@ -8,6 +8,7 @@ checked against their defining arithmetic, not against themselves.
 
 import hashlib
 import json
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -19,6 +20,7 @@ from sucsim.analysis import (
     AvalancheConfig,
     avalanche_histogram,
     avalanche_vs_rounds,
+    chi2_sf,
     chi_square_binomial,
     hardware_latency_anchor,
     kappa_trng,
@@ -114,11 +116,41 @@ def test_mean_and_stddev_definitions(pool32):
 # ---------------------------------------------------------------------------
 # goodness of fit
 
-def test_gof_accepts_the_exact_binomial_shape():
-    from scipy.stats import binom
+@pytest.mark.parametrize(
+    "x, dof, p",
+    [
+        # upper 5% points of the chi-square table, and one far tail value
+        (3.8414588206941285, 1, 0.05),
+        (18.30703805327515, 10, 0.05),
+        (67.5048065495412, 50, 0.05),
+        (362.6301664720331, 10, 8.2988514e-72),
+    ],
+)
+def test_chi2_sf_matches_table_values(x, dof, p):
+    assert chi2_sf(x, dof) == pytest.approx(p, rel=1e-9)
 
+
+@pytest.mark.parametrize("x", [0.0, 0.5, 3.0, 41.7, 900.0])
+def test_chi2_sf_with_two_dof_is_the_exponential_tail(x):
+    assert chi2_sf(x, 2) == math.exp(-x / 2)
+
+
+@pytest.mark.parametrize("dof", [1, 2, 9, 64])
+def test_chi2_sf_bounds(dof):
+    assert chi2_sf(0.0, dof) == 1.0
+    assert chi2_sf(1e6, dof) == 0.0
+    assert chi2_sf(math.inf, dof) == 0.0
+    assert 0.0 < chi2_sf(dof, dof) < 1.0
+
+
+def test_chi2_sf_rejects_zero_dof():
+    with pytest.raises(ValueError):
+        chi2_sf(1.0, 0)
+
+
+def test_gof_accepts_the_exact_binomial_shape():
     n = 64000
-    counts = np.rint(n * binom.pmf(np.arange(65), 64, 0.5)).astype(int)
+    counts = [round(n * math.comb(64, k) / 2**64) for k in range(65)]
     gof = chi_square_binomial(counts)
     assert not gof.rejected
     assert gof.p_value > 0.5
@@ -129,6 +161,23 @@ def test_gof_rejects_a_uniform_histogram():
     gof = chi_square_binomial(counts)
     assert gof.rejected
     assert gof.p_value < 1e-6
+
+
+@pytest.mark.parametrize(
+    "counts",
+    [
+        np.zeros(65, dtype=int),  # no samples at all
+        np.bincount([32] * 10, minlength=65),  # every bin pools into one
+    ],
+    ids=["empty", "ten-samples"],
+)
+def test_gof_refuses_a_histogram_that_pools_to_one_bin(counts):
+    with pytest.raises(ValueError, match="at least two"):
+        chi_square_binomial(counts)
+
+
+def test_gof_counts_a_nan_p_value_as_rejected():
+    assert analysis.GofResult(math.nan, 1, math.nan, 0.01).rejected
 
 
 def test_gof_pools_sparse_tails():

@@ -449,6 +449,15 @@ def test_bound_report_csv_output(capsys, tmp_path, pool32_file):
     assert sidecar["count"] == 4
 
 
+def test_importing_the_cli_loads_no_scipy():
+    # the chi-square fit is closed-form, so no command pays scipy's import
+    code = "import sys, sucsim.cli; print('scipy' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "False"
+
+
 # ---------------------------------------------------------------------------
 # networked authority service
 

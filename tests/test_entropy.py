@@ -118,6 +118,48 @@ def test_shuffled_deterministic_per_seed():
     assert SeededEntropy(4).shuffled(items) != SeededEntropy(5).shuffled(items)
 
 
+def reference_shuffled(e, items):
+    # the textbook Fisher-Yates: one draw_index call per position
+    out = list(items)
+    for i in range(len(out) - 1, 0, -1):
+        j = e.draw_index(i + 1)
+        out[i], out[j] = out[j], out[i]
+    return out
+
+
+def counters(e):
+    return (e.bytes_consumed, e.bits_consumed, e.index_draws, e.rejections)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 7, 2**40 + 3])
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 16, 17, 300])
+def test_shuffled_matches_draw_index_fisher_yates(seed, n):
+    fast, ref = SeededEntropy(seed), SeededEntropy(seed)
+    # leave a few bits in the reservoir first, so carry-in is covered too
+    assert fast.take_bits(5) == ref.take_bits(5)
+    for _ in range(3):
+        assert fast.shuffled(range(n)) == reference_shuffled(ref, range(n))
+        assert counters(fast) == counters(ref)
+    # the reservoir carries over: the next bits come out identically
+    assert fast.take_bits(13) == ref.take_bits(13)
+    assert counters(fast) == counters(ref)
+
+
+@pytest.mark.parametrize("size", [0, 1, 3, 5, 6])
+def test_shuffled_counters_match_after_running_dry(size):
+    # a shuffle of 16 needs at least 49 bits, so 6 bytes always run dry
+    data = SeededEntropy(size).read(size)
+    fast, ref = RecordedEntropy(data), RecordedEntropy(data)
+    with pytest.raises(EntropyExhausted):
+        fast.shuffled(range(16))
+    with pytest.raises(EntropyExhausted):
+        reference_shuffled(ref, range(16))
+    assert counters(fast) == counters(ref)
+    # the bits left over from the partial shuffle are the same
+    assert fast._reservoir_bits == ref._reservoir_bits
+    assert fast.take_bits(ref._reservoir_bits) == ref.take_bits(ref._reservoir_bits)
+
+
 def test_recorded_replays_and_exhausts():
     e = RecordedEntropy(b"abcdef")
     assert e.read(4) == b"abcd"

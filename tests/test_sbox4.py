@@ -155,6 +155,54 @@ def test_sampler_spreads_across_seeds():
     assert len(tables) >= 99
 
 
+def ref_sample(entropy):
+    # the plain DFS the sampler must reproduce draw for draw: one
+    # draw_index Fisher-Yates shuffle per node, a 16x16 difference table,
+    # every pruning test spelled out, full profile on completed tables
+    table, used = [-1] * 16, [False] * 16
+    ddt = [[0] * 16 for _ in range(16)]
+
+    def extend(x):
+        if x == 16:
+            return ref_is_member(table)
+        order = list(range(16))
+        for i in range(15, 0, -1):
+            j = entropy.draw_index(i + 1)
+            order[i], order[j] = order[j], order[i]
+        for v in order:
+            pairs = [(x ^ xp, v ^ table[xp]) for xp in range(x)]
+            if used[v] or any(
+                ddt[a][b] == 4 or (a.bit_count() == 1 and b.bit_count() < 2)
+                for a, b in pairs
+            ):
+                continue
+            for a, b in pairs:
+                ddt[a][b] += 2
+            table[x], used[v] = v, True
+            if extend(x + 1):
+                return True
+            for a, b in pairs:
+                ddt[a][b] -= 2
+            used[v] = False
+        return False
+
+    assert extend(0)
+    return tuple(table)
+
+
+def counters(e):
+    return (e.bytes_consumed, e.bits_consumed, e.index_draws, e.rejections)
+
+
+@pytest.mark.parametrize("seed", [0, 3, 41])
+def test_sampler_matches_the_plain_dfs_draw_for_draw(seed):
+    fast, ref = SeededEntropy(seed), SeededEntropy(seed)
+    for _ in range(2):
+        assert sample_serpent_type(fast) == ref_sample(ref)
+        assert counters(fast) == counters(ref)
+    assert fast.take_bits(13) == ref.take_bits(13)
+
+
 def test_sampler_propagates_entropy_exhaustion():
     with pytest.raises(EntropyExhausted):
         sample_serpent_type(RecordedEntropy(b"\x07\x13"))
