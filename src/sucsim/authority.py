@@ -17,17 +17,26 @@ lowest unused index; the challenge goes out only after the lock is
 released, so the use is durable before the challenge leaves and no lock
 spans a network round trip. `load` is strict, so a torn or duplicated
 `used:` line makes the record fail closed with EnrollmentError.
+
+A loaded `UirRecord` is two values: every pair in one bytes value, 16
+bytes each (challenge, then response), and the count of used pairs.
+`load` reads the file once, checks the pair rows as one block and the
+`used:` lines against their one valid spelling, and builds no per-pair
+or per-line objects; `UirRecord.pairs` is a view of `CrPair` tuples,
+built only when something reads it.
 """
 
 from __future__ import annotations
 
+import binascii
 import datetime as _dt
 import enum
 import fcntl
+import functools
 import os
 import re
-from dataclasses import dataclass, field
-from typing import Protocol
+from dataclasses import dataclass
+from typing import NamedTuple, Protocol
 
 import numpy as np
 
@@ -38,6 +47,35 @@ from .errors import ChannelError, EnrollmentError
 
 _HEADER_KEYS = ("serial", "created_at", "rounds", "feistel_r", "pool_digest")
 _PAIR_ROWS = re.compile(r"(?:pair: [0-9a-f]{16} [0-9a-f]{16}\n)*")
+# A good pair row, with each lowercase hex digit read as "x"; _ROW_CLASS
+# maps a row's bytes to that template, and any byte foreign to it to NUL.
+_ROW_TEMPLATE = b"pxir: " + b"x" * 16 + b" " + b"x" * 16 + b"\n"
+_ROW_LEN = len(_ROW_TEMPLATE)
+_ROW_CLASS = bytes(
+    ord("x") if c in b"0123456789abcdef" else c if c in b"pir: \n" else 0 for c in range(256)
+)
+
+
+def _pair_rows(block: bytes) -> bytes:
+    """Pair bytes of a block of `pair: <x> <y>` rows, checked as strictly
+    as _PAIR_ROWS, or ValueError naming the first bad row."""
+    n = len(block) // _ROW_LEN
+    if not (
+        len(block) % _ROW_LEN == 0
+        and block.translate(_ROW_CLASS) == _ROW_TEMPLATE * n
+        and block[1::_ROW_LEN] == b"a" * n  # the hex class holds "pair"'s a
+    ):
+        good = _PAIR_ROWS.match(block.decode("latin-1")).end()  # the regex names the row
+        raise ValueError(f"pair row {good // _ROW_LEN} is malformed")
+    rows = np.frombuffer(block, np.uint8).reshape(n, _ROW_LEN)  # x at 6:22, y at 23:39
+    return binascii.a2b_hex(np.concatenate((rows[:, 6:22], rows[:, 23:39]), axis=1).tobytes())
+
+
+@functools.cache  # one entry per bit length of a use count
+def _use_lines(bits: int) -> bytes:
+    """`used: 0\n` to `used: 2**bits - 1\n`: every good tail of fewer
+    than 2**bits uses is a prefix of it."""
+    return "".join(f"used: {i}\n" for i in range(1 << bits)).encode("ascii")
 
 
 class AuthResult(enum.Enum):
@@ -59,28 +97,46 @@ class DeviceChannel(Protocol):
     def respond(self, blocks: bytes) -> bytes: ...
 
 
-@dataclass(slots=True)  # records load 1000s of these per authentication
-class CrPair:
+class CrPair(NamedTuple):
+    """One pair of a record's `pairs` view."""
+
     x: bytes
     y: bytes
-    used: bool = False
+    used: bool
 
 
 @dataclass
 class UirRecord:
+    """Pairs held as one bytes value, 16 per pair (challenge, then
+    response), and the count of used pairs, which are a prefix."""
+
     serial: str
     params: SucParams
-    pairs: list = field(default_factory=list)
+    pair_bytes: bytes = b""
+    used: int = 0
     created_at: str = ""
 
     @property
+    def pair_count(self) -> int:
+        return len(self.pair_bytes) // 16
+
+    @property
     def unused_count(self) -> int:
-        return sum(1 for p in self.pairs if not p.used)
+        return self.pair_count - self.used
 
     @property
     def payload_bytes(self) -> int:
-        # 8 challenge + 8 response bytes per enrolled pair
-        return 16 * len(self.pairs)
+        return len(self.pair_bytes)
+
+    @functools.cached_property
+    def pairs(self) -> tuple:
+        """Read-only CrPair view, built on first access; load and
+        authenticate never build it."""
+        b = self.pair_bytes
+        return tuple(
+            CrPair(b[i : i + 8], b[i + 8 : i + 16], i < 16 * self.used)
+            for i in range(0, len(b), 16)
+        )
 
 
 def _utcnow() -> str:
@@ -101,9 +157,6 @@ def enroll(
     """
     if t < 1:
         raise ValueError("t must be >= 1")
-    record = UirRecord(
-        serial=channel.serial, params=params or SucParams(), created_at=_utcnow()
-    )
     drawn = entropy.read(8 * t)
     xs = dict.fromkeys(drawn[i : i + 8] for i in range(0, len(drawn), 8))
     while len(xs) < t:
@@ -111,8 +164,15 @@ def enroll(
     ys = bytes(channel.respond(b"".join(xs)))
     if len(ys) != 8 * t:
         raise ChannelError(f"{len(ys)} response bytes to {t} challenges")
-    record.pairs = [CrPair(x=x, y=ys[8 * i : 8 * i + 8]) for i, x in enumerate(xs)]
-    return record
+    pairs = np.empty((t, 2, 8), np.uint8)
+    pairs[:, 0] = np.frombuffer(b"".join(xs), np.uint8).reshape(t, 8)
+    pairs[:, 1] = np.frombuffer(ys, np.uint8).reshape(t, 8)
+    return UirRecord(
+        serial=channel.serial,
+        params=params or SucParams(),
+        pair_bytes=pairs.tobytes(),
+        created_at=_utcnow(),
+    )
 
 
 def authenticate(
@@ -127,12 +187,12 @@ def authenticate(
     """
     with store.lock_for(channel.serial):
         record = store.load(channel.serial)
-        index = len(record.pairs) - record.unused_count  # uses are a prefix
-        if index == len(record.pairs):
+        index = record.used  # uses are a prefix
+        if index == record.pair_count:
             return AuthResult.EXHAUSTED
         store.mark_used(channel.serial, index)
-    pair = record.pairs[index]
-    sent, expected = (pair.y, pair.x) if inverse else (pair.x, pair.y)
+    pair = record.pair_bytes[16 * index : 16 * index + 16]
+    sent, expected = (pair[8:], pair[:8]) if inverse else (pair[:8], pair[8:])
     try:
         answer = channel.respond(sent)
     except ChannelError:
@@ -196,7 +256,7 @@ class UirStore:
     def save(self, record: UirRecord) -> None:
         """Create a new record's file whole, in one atomic link, or raise
         FileExistsError. Uses are appended by `mark_used`, never saved."""
-        if any(p.used for p in record.pairs):
+        if record.used:
             raise ValueError("a new record cannot have a used pair")
         header = {
             "serial": record.serial,
@@ -205,7 +265,8 @@ class UirStore:
             "feistel_r": record.params.feistel_r,
             "pool_digest": record.params.pool_digest.hex(),
         }
-        pairs = [f"{p.x.hex()} {p.y.hex()}" for p in record.pairs]
+        h = record.pair_bytes.hex()
+        pairs = [f"{h[i : i + 16]} {h[i + 16 : i + 32]}" for i in range(0, len(h), 32)]
         records.write(self._path(record.serial), header, (("pair", pairs),), replace=False)
 
     def mark_used(self, serial: str, index: int) -> None:
@@ -213,27 +274,27 @@ class UirStore:
         records.append(self._path(serial), "used", index)
 
     def load(self, serial: str) -> UirRecord:
+        """The record of serial, read whole and checked strictly; it builds
+        no per-pair or per-line objects. EnrollmentError if malformed."""
         path = self._path(serial)
         try:
-            lines = records.read(path)
-            head = records.fields(lines[:5], _HEADER_KEYS)
+            with open(path, "rb") as f:
+                data = f.read()
+            if not data.endswith(b"\n"):
+                raise ValueError("record does not end with a newline")
+            *lines, body = data.split(b"\n", 5)
+            head = records.fields([line.decode("ascii") for line in lines], _HEADER_KEYS)
             if head["serial"] != serial:
                 raise ValueError("record serial does not match file name")
-            first_use = next(
-                (i for i, line in enumerate(lines) if line.startswith("used: ")), len(lines)
-            )
-            rows = lines[5:first_use]
-            block = "\n".join(rows) + "\n" if rows else ""
-            end = _PAIR_ROWS.match(block).end()  # the end of the good rows
-            if end != len(block):
-                row = block.count("\n", 0, end)
-                raise ValueError(f"pair row {row} is malformed")
-            raw = bytes.fromhex(block.replace("pair: ", ""))  # skips the whitespace
-            uses = records.rows(lines[first_use:], "used")
-            if uses != [str(i) for i in range(len(uses))]:
+            start = body.find(b"u")  # no good pair row holds a "u": the uses start here
+            block, tail = (body, b"") if start < 0 else (body[:start], body[start:])
+            raw = _pair_rows(block)
+            n = len(raw) // 16
+            uses = tail.count(b"\n")
+            if uses > n:
+                raise ValueError(f"{uses} uses of {n} pairs")
+            if not _use_lines(uses.bit_length()).startswith(tail):
                 raise ValueError("used lines do not read 0, 1, 2, ... in order")
-            if len(uses) > len(rows):
-                raise ValueError(f"{len(uses)} uses of {len(rows)} pairs")
             return UirRecord(
                 serial=serial,
                 params=SucParams(
@@ -241,10 +302,8 @@ class UirStore:
                     feistel_r=records.int_field(head["feistel_r"]),
                     pool_digest=records.hex_field(head["pool_digest"], 0, 32),
                 ),
-                pairs=[
-                    CrPair(raw[i : i + 8], raw[i + 8 : i + 16], i < 16 * len(uses))
-                    for i in range(0, len(raw), 16)
-                ],
+                pair_bytes=raw,
+                used=uses,
                 created_at=head["created_at"],
             )
         except FileNotFoundError:
@@ -263,9 +322,8 @@ class UirStore:
         """(serial, total pairs, used, unused) per enrolled device."""
         out = []
         for serial in self.serials():
-            record = self.load(serial)
-            unused = record.unused_count
-            out.append((serial, len(record.pairs), len(record.pairs) - unused, unused))
+            r = self.load(serial)
+            out.append((serial, r.pair_count, r.used, r.unused_count))
         return out
 
 

@@ -235,7 +235,7 @@ def cmd_enroll(args) -> int:
         args,
         {
             "serial": serial,
-            "pairs": len(record.pairs),
+            "pairs": record.pair_count,
             "payload_bytes": record.payload_bytes,
         },
     )

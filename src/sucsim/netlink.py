@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import enum
 import logging
+import math
 import socket
 import socketserver
 import struct
@@ -243,6 +244,8 @@ class TaService:
     ) -> None:
         if not 1 <= enroll_pairs <= 0xFFFF:  # ENROLL_BEGIN carries a u16
             raise ValueError(f"enroll_pairs must be in 1..65535, got {enroll_pairs}")
+        if not 0 < timeout < math.inf:  # also refuses nan
+            raise ValueError(f"timeout must be positive and finite, got {timeout}")
         self.store = store
         self.enroll_pairs = enroll_pairs
         self.entropy = entropy or SystemEntropy()

@@ -74,11 +74,6 @@ def fields(lines, keys) -> dict:
     return {key: _value(line, key) for line, key in zip(lines, keys)}
 
 
-def rows(lines, key: str) -> list:
-    """Values of lines that all read `key: value`."""
-    return [_value(line, key) for line in lines]
-
-
 def hex_field(value: str, *nbytes: int) -> bytes:
     """Bytes of a lowercase hex value whose length is one of nbytes."""
     raw = bytes.fromhex(value)

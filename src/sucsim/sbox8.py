@@ -72,19 +72,31 @@ class SBox8:
         return cls(table=tuple(data))
 
 
+# The nibble halves of every byte x, as 256-byte strings indexed by x.
+_HIGH = bytes(x >> 4 for x in range(256))
+_LOW = bytes(x & 0x0F for x in range(256))
+
+
+def _xor(a: bytes, b: bytes) -> int:
+    return int.from_bytes(a, "big") ^ int.from_bytes(b, "big")
+
+
 def feistel8(spec: FeistelSpec) -> SBox8:
-    """Build the involutive byte substitution described by spec."""
-    seq = [spec.free[min(k, spec.r - 1 - k)] for k in range(spec.r)]
-    table = []
-    for x in range(256):
-        left, right = x >> 4, x & 0x0F
-        for k, s in enumerate(seq):
-            if k % 2 == 0:
-                left ^= s[right]
-            else:
-                right ^= s[left]
-        table.append((left << 4) | right)
-    return SBox8(table=tuple(table))
+    """Build the involutive byte substitution described by spec.
+
+    Each round runs on all 256 inputs at once: one `translate` through
+    the 4-bit table and one XOR of the halves as big integers.
+    """
+    left, right = _HIGH, _LOW
+    for k in range(spec.r):
+        s = bytes(spec.free[min(k, spec.r - 1 - k)]).ljust(256, b"\0")
+        if k % 2 == 0:
+            left = _xor(left, right.translate(s)).to_bytes(256, "big")
+        else:
+            right = _xor(right, left.translate(s)).to_bytes(256, "big")
+    # every half is a nibble, so the shift moves each into its own byte's high half
+    table = int.from_bytes(left, "big") << 4 | int.from_bytes(right, "big")
+    return SBox8(table=table.to_bytes(256, "big"))
 
 
 @dataclass(frozen=True)

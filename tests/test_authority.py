@@ -386,9 +386,26 @@ def test_store_roundtrip_preserves_everything(tmp_path, make_device):
     ]
 
 
+def test_record_file_bytes_are_pinned(tmp_path):
+    # computed when each pair was a CrPair object, rendered row by row
+    def reverse(block):
+        return block[::-1]  # an involution, so the inverse handshake passes
+
+    channel = FnChannel("s", reverse)
+    params = SucParams(rounds=15, feistel_r=3, pool_digest=bytes(range(32)))
+    record = enroll(channel, 64, SeededEntropy(0), params=params)
+    record.created_at = "2021-01-01T00:00:00Z"
+    store = stored(tmp_path, record)
+    assert authenticate(channel, store) is AuthResult.ACCEPTED
+    assert authenticate(channel, store, inverse=True) is AuthResult.ACCEPTED
+    with open(store._path("s"), "rb") as f:
+        digest = hashlib.sha256(f.read()).hexdigest()
+    assert digest == "344ab5159571b5b4d067609a80ac46eaf34f89b36c417691c498bf8e5d3d3c77"
+
+
 def test_store_save_refuses_a_record_with_a_used_pair(tmp_path):
     record = enroll(FnChannel("s", lambda b: b), 3, SeededEntropy(0))
-    record.pairs[0].used = True
+    record.used = 1
     store = UirStore(tmp_path / "uir")
     with pytest.raises(ValueError, match="used pair"):
         store.create(record)
@@ -413,6 +430,20 @@ def test_store_refuses_duplicate_serials(tmp_path):
 def test_store_missing_serial(tmp_path):
     with pytest.raises(EnrollmentError, match="no record"):
         UirStore(tmp_path / "uir").load("nobody")
+
+
+def assert_authenticate_refuses(store, serial):
+    """authenticate fails closed on the record: EnrollmentError, no
+    challenge sent, and the file byte for byte as it was."""
+    path = store._path(serial)
+    with open(path, "rb") as f:
+        before = f.read()
+    sent = []
+    with pytest.raises(EnrollmentError):
+        authenticate(FnChannel(serial, lambda b: sent.append(b) or b), store)
+    assert sent == []
+    with open(path, "rb") as f:
+        assert f.read() == before  # no `used:` line appended
 
 
 def test_store_rejects_malformed_records(tmp_path):
@@ -449,6 +480,7 @@ def test_store_rejects_malformed_records(tmp_path):
             f.write(text)
         with pytest.raises(EnrollmentError):
             store.load("bad")
+        assert_authenticate_refuses(store, "bad")
 
 
 @pytest.mark.parametrize("serial", ["../escaped", "", ".hidden", "a/b", "x" * 65])
@@ -480,6 +512,52 @@ def test_a_bad_pair_row_deep_in_a_record_fails_closed(tmp_path, row):
         f.write("\n".join(lines))
     with pytest.raises(EnrollmentError, match="pair row 700 is malformed"):
         store.load("s")
+    assert_authenticate_refuses(store, "s")
+
+
+def test_the_pair_row_check_is_as_strict_as_the_row_pattern():
+    # every one-byte change, deletion and insertion in a block of three rows
+    rows = b"pair: 0123456789abcdef fedcba9876543210\n" * 3
+    digits = (*range(6, 22), *range(23, 39))  # a row's hex columns
+
+    def good(i, v):
+        return v == rows[i] or i % 40 in digits and v in b"0123456789abcdef"
+
+    cases = [
+        (rows[:i] + bytes([v]) + rows[i + 1 :], i, good(i, v))
+        for i in range(len(rows))
+        for v in range(256)
+    ]
+    cases += [(rows[:i] + rows[i + 1 :], i, False) for i in range(len(rows))]
+    cases += [(rows[:i] + b"0" + rows[i:], i, False) for i in range(len(rows) + 1)]
+    for block, i, ok in cases:
+        assert (authority._PAIR_ROWS.fullmatch(block.decode("latin-1")) is not None) == ok
+        if ok:
+            expected = bytes.fromhex(block.decode().replace("pair: ", ""))
+            assert authority._pair_rows(block) == expected
+        else:
+            with pytest.raises(ValueError, match=f"pair row {i // 40} is malformed"):
+                authority._pair_rows(block)
+
+
+def test_load_and_authenticate_build_no_pair_objects(tmp_path, monkeypatch):
+    store = stored(tmp_path, enroll(FnChannel("s", lambda b: b), 8, SeededEntropy(0)))
+    loaded = []
+    load = UirStore.load
+
+    def spy_load(self, serial):
+        loaded.append(load(self, serial))
+        return loaded[-1]
+
+    monkeypatch.setattr(UirStore, "load", spy_load)
+    assert authenticate(FnChannel("s", lambda b: b), store) is AuthResult.ACCEPTED
+    (record,) = loaded
+    assert "pairs" not in vars(record)  # the view was never built
+    assert (record.pair_count, record.used, record.unused_count) == (8, 0, 8)
+    back = store.load("s")
+    assert (back.used, back.unused_count, back.payload_bytes) == (1, 7, 128)
+    assert [p.used for p in back.pairs] == [True] + [False] * 7
+    assert b"".join(p.x + p.y for p in back.pairs) == back.pair_bytes
 
 
 def test_store_pair_lines_are_strict(tmp_path):

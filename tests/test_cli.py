@@ -494,6 +494,10 @@ def _spawn_service(uir_dir, enroll_pairs):
         ["serve-ta", "--listen", "127.0.0.1:0", "--enroll-pairs", "70000"],
         ["serve-ta", "--listen", "127.0.0.1:99999"],
         ["agent", "--device", "nowhere/dev01", "--connect", "127.0.0.1:99999"],
+        *(
+            ["serve-ta", "--listen", "127.0.0.1:0", "--timeout", t]
+            for t in ("0", "-1", "nan", "inf")
+        ),
     ],
 )
 def test_service_and_agent_usage_errors(capsys, tmp_path, monkeypatch, argv):

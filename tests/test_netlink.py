@@ -467,6 +467,13 @@ def test_service_refuses_an_enrollment_size_outside_u16(tmp_path, pairs):
         TaService(UirStore(tmp_path / "uir"), enroll_pairs=pairs)
 
 
+@pytest.mark.parametrize("timeout", [0, -1, float("nan"), float("inf")])
+def test_service_refuses_a_timeout_that_is_not_positive_and_finite(tmp_path, timeout):
+    # 0 or -1 would time out every session; nan or inf would crash each session thread
+    with pytest.raises(ValueError, match="timeout must be positive and finite"):
+        TaService(UirStore(tmp_path / "uir"), timeout=timeout)
+
+
 def agent_against_fake_service(dev, frames):
     """run_agent against a listener that acknowledges HELLO, then sends frames."""
     listener = socket.create_server(("127.0.0.1", 0))

@@ -65,3 +65,32 @@ def test_a_traced_authentication_waits_on_the_record_lock_once(tmp_path):
     assert result is AuthResult.ACCEPTED
     assert [span[1] for span in tracer.spans].count(tracing.LOCK_WAIT) == 1
     assert store.load("s").unused_count == 3
+
+
+def test_a_traced_authentication_loads_the_record_once_and_saves_nothing(tmp_path):
+    tracing = load_tracing()
+    store = UirStore(tmp_path)
+    store.create(enroll(Echo(), 4, SeededEntropy(0)))
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        assert authenticate(Echo(), store) is AuthResult.ACCEPTED
+    finally:
+        tracer.restore()
+    names = [span[1] for span in tracer.spans]
+    assert names.count("authority.load") == 1
+    assert "authority.save" not in names
+
+
+def test_a_loaded_record_offers_what_the_benchmark_reads(tmp_path):
+    # perfbench/ta_service.py checks records through len(pairs) and pairs[i].x/.y/.used
+    store = UirStore(tmp_path)
+    store.create(enroll(Echo(), 16, SeededEntropy(0)))
+    for _ in range(5):
+        authenticate(Echo(), store)
+    record = store.load("s")
+    assert len(record.pairs) == record.pair_count == 16
+    assert sum(1 for p in record.pairs if p.used) == record.used == 5
+    assert [p.used for p in record.pairs] == [i < 5 for i in range(16)]
+    for i, p in enumerate(record.pairs):
+        assert p.x + p.y == record.pair_bytes[16 * i : 16 * i + 16]

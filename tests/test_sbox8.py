@@ -66,6 +66,18 @@ def test_construction_matches_reference(pool32):
         assert all(box.table[x] == ref_feistel(free, r, x) for x in range(256))
 
 
+def test_construction_matches_reference_on_random_tables():
+    # any 16 nibbles, bijective or not: every table entry feeds the whole-table rounds
+    rng = random.Random(13)
+    for r in (1, 3, 5, 7):
+        for _ in range(25):
+            free = tuple(
+                tuple(rng.randrange(16) for _ in range(16)) for _ in range((r + 1) // 2)
+            )
+            box = feistel8(FeistelSpec(r=r, free=free))
+            assert box.table == tuple(ref_feistel(free, r, x) for x in range(256))
+
+
 def test_construction_is_involution_for_any_round_functions():
     rng = random.Random(5)
     for r in (1, 3, 5, 7, 9):
