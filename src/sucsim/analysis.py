@@ -28,7 +28,7 @@ import numpy as np
 from .cipher import SucParams, apply_batch, draw_instance
 from .entropy import SeededEntropy
 from .sbox4 import SBoxPool
-from .sbox8 import POPCOUNT, FeistelSpec, feistel8, profile8
+from .sbox8 import FeistelSpec, feistel8, profile8
 
 SBOX_MODES = ("single-replicated", "eight-distinct")
 
@@ -85,21 +85,18 @@ class AvalancheResult:
         return int(np.flatnonzero(self.counts)[-1])
 
 
-# basis blocks: row p flips input bit p (byte p//8, bit p%8)
-_FLIPS = np.zeros((64, 8), dtype=np.uint8)
-for _p in range(64):
-    _FLIPS[_p, _p // 8] = np.uint8(1 << (_p % 8))
+# column 0 XORs nothing; column p + 1 flips bit p of the little-endian
+# word, which is bit p % 8 of byte p // 8
+_FLIPS = np.concatenate(([0], 1 << np.arange(64, dtype=np.uint64))).astype("<u8")
 
 
 def _avalanche_counts_for_instance(suc, inputs: np.ndarray) -> np.ndarray:
     """Histogram of output distances for every (input, flipped bit) pair."""
     t = inputs.shape[0]
-    batch = np.concatenate(
-        (inputs[:, None, :], inputs[:, None, :] ^ _FLIPS[None, :, :]), axis=1
-    )  # (t, 65, 8); column 0 is the unmodified input
-    out = apply_batch(suc, batch.reshape(t * 65, 8)).reshape(t, 65, 8)
-    delta = out[:, 1:, :] ^ out[:, :1, :]
-    distances = POPCOUNT[delta].sum(axis=2)
+    batch = np.ascontiguousarray(inputs).view("<u8") ^ _FLIPS  # (t, 65)
+    out = apply_batch(suc, batch.view(np.uint8).reshape(t * 65, 8))
+    out = out.view("<u8").reshape(t, 65)
+    distances = np.bitwise_count(out[:, 1:] ^ out[:, :1])
     return np.bincount(distances.ravel(), minlength=65)
 
 

@@ -25,8 +25,11 @@ the last substitution layer. p_layer and s_layer keep the layer-by-
 layer definition for tests to compare against.
 
 Blocks are 8 bytes; hex encoding is byte 0 first, and the 64-bit words
-are the blocks read little-endian. A numpy batch path processes (N, 8)
-arrays for the statistical harness.
+are the blocks read little-endian. apply runs one block on Python ints.
+apply_batch runs an (N, 8) uint8 array for the statistical harness and
+for multi-block challenges: each round copies the state's bytes once
+into an (8, N) index plane, gathers each row through its table into
+one preallocated word buffer and XORs it into the state in place.
 """
 
 from __future__ import annotations
@@ -158,17 +161,23 @@ def apply(suc: SucInstance, block: bytes) -> bytes:
 
 
 def apply_batch(suc: SucInstance, blocks: np.ndarray) -> np.ndarray:
-    """Vectorized apply over an (N, 8) uint8 array."""
+    """Vectorized apply over an (N, 8) uint8 array; the input is not written."""
     b = np.asarray(blocks, dtype=np.uint8)
     if b.ndim != 2 or b.shape[1] != 8:
         raise ValueError("blocks must have shape (N, 8)")
-    x = np.ascontiguousarray(b).view("<u8").reshape(-1)
+    n = b.shape[0]
+    cols = np.empty((8, n), dtype=np.intp)  # cols[i] = byte i of every block
+    x = np.empty(n, dtype="<u8")
+    g = np.empty_like(x)
     t = suc._t
     for _ in range(suc.params.rounds):
-        cols = x.view(np.uint8).reshape(-1, 8)
-        x = np.take(t[0], cols[:, 0])
+        cols[...] = b.T
+        # every index is a byte, so "clip" never clips; unlike "raise" it
+        # lets take write straight into out
+        t[0].take(cols[0], out=x, mode="clip")
         for i in range(1, 8):
-            x ^= np.take(t[i], cols[:, i])
+            x ^= t[i].take(cols[i], out=g, mode="clip")
+        b = x.view(np.uint8).reshape(n, 8)
     return _transpose64(x).astype("<u8", copy=False).view(np.uint8).reshape(-1, 8)
 
 

@@ -295,6 +295,7 @@ def cmd_serve_ta(args) -> int:
 
 def cmd_agent(args) -> int:
     address = _parse_listen(args.connect)
+    netlink.check_timeout(args.timeout)
     directory, serial = _device_ref(args.device)
     try:
         dev = device.boot(directory, serial)

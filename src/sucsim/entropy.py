@@ -145,13 +145,29 @@ class SeededEntropy(EntropySource):
 
     def _generate(self, n: int) -> bytes:
         while len(self._buffer) < n:
-            block = hashlib.sha256(
-                self._key + self._counter.to_bytes(8, "big")
-            ).digest()
-            self._counter += 1
-            self._buffer += block
+            if n < 64:  # a small read appends one block, the cheapest refill
+                block = hashlib.sha256(
+                    self._key + self._counter.to_bytes(8, "big")
+                ).digest()
+                self._counter += 1
+                self._buffer += block
+            else:
+                self._buffer += self._blocks(n - len(self._buffer))
         out, self._buffer = self._buffer[:n], self._buffer[n:]
         return out
+
+    def _blocks(self, nbytes: int) -> bytes:
+        """The next blocks that cover nbytes, joined at once: a large read
+        that added them one += at a time would copy the buffer each time,
+        quadratic in n. A method of its own, so no closure over self slows
+        the one-byte reads of _generate."""
+        start = self._counter
+        self._counter = stop = start + (nbytes + 31) // 32
+        key = self._key
+        return b"".join(
+            hashlib.sha256(key + i.to_bytes(8, "big")).digest()
+            for i in range(start, stop)
+        )
 
 
 class RecordedEntropy(EntropySource):

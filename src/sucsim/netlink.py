@@ -161,6 +161,13 @@ class FrameChannel:
         return frame
 
 
+def check_timeout(timeout: float) -> None:
+    """Refuse a socket timeout that is not positive and finite: 0 or -1
+    would fail every exchange, nan or inf crash the socket calls."""
+    if not 0 < timeout < math.inf:  # also refuses nan
+        raise ValueError(f"timeout must be positive and finite, got {timeout}")
+
+
 class _SessionSocket:
     """A session's socket whose recv and sendall share one deadline, so
     the service's timeout bounds the whole exchange, not each call."""
@@ -244,8 +251,7 @@ class TaService:
     ) -> None:
         if not 1 <= enroll_pairs <= 0xFFFF:  # ENROLL_BEGIN carries a u16
             raise ValueError(f"enroll_pairs must be in 1..65535, got {enroll_pairs}")
-        if not 0 < timeout < math.inf:  # also refuses nan
-            raise ValueError(f"timeout must be positive and finite, got {timeout}")
+        check_timeout(timeout)
         self.store = store
         self.enroll_pairs = enroll_pairs
         self.entropy = entropy or SystemEntropy()
@@ -355,6 +361,7 @@ def run_agent(dev, address: tuple, timeout: float = 10.0) -> AgentOutcome:
     that ends without ENROLL_END, AUTH_RESULT or ERROR reports the error
     "session closed".
     """
+    check_timeout(timeout)
     outcome = AgentOutcome(serial=dev.serial)
     started = time.perf_counter()
     with socket.create_connection(address, timeout=timeout) as sock:

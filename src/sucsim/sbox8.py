@@ -124,12 +124,9 @@ class SBoxProfile8:
         return (self.lin / 256.0) ** 2
 
 
-# Hamming weight of every byte value; its low bit is the parity.
-POPCOUNT = np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1).sum(
-    axis=1
-).astype(np.int64)
-_SIGN = (1 - 2 * (POPCOUNT & 1)).astype(np.int16)
 _BYTES = np.arange(256)
+# (-1) to the parity of every byte value
+_SIGN = 1 - 2 * (np.bitwise_count(_BYTES) & 1).astype(np.int16)
 # _XOR[a, x] = x ^ a and _ROW[a] = a << 8 address the 256 x 256 DDT cells
 _XOR = _BYTES[:, None] ^ _BYTES
 _ROW = (_BYTES[:, None] << 8).astype(np.uint16)
@@ -160,7 +157,7 @@ def profile8(sbox) -> SBoxProfile8:
         w = np.stack((lo + hi, lo - hi), axis=2).reshape(255, 256)
     lin = int(np.abs(w).max())
 
-    branch_min = int(POPCOUNT[d[_ONE_BIT]].min())
+    branch_min = int(np.bitwise_count(d[_ONE_BIT]).min())
     return SBoxProfile8(
         bijective=bijective,
         involutive=involutive,

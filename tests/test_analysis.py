@@ -36,7 +36,9 @@ from sucsim.analysis import (
     write_rounds_csv,
     write_summary_json,
 )
-from sucsim.cipher import SucInstance, SucParams
+from sucsim.analysis import SBOX_MODES
+from sucsim.cipher import SucInstance, SucParams, apply, draw_instance
+from sucsim.entropy import SeededEntropy
 from sucsim.sbox8 import SBox8
 
 
@@ -95,6 +97,32 @@ def test_identity_instance_has_unit_avalanche():
     counts = analysis._avalanche_counts_for_instance(inst, inputs)
     assert counts[1] == 50 * 64
     assert counts.sum() == 50 * 64
+
+
+def reference_counts(inst, inputs):
+    """The distance histogram from scalar apply and int.bit_count()."""
+    counts = np.zeros(65, dtype=np.int64)
+    for row in inputs:
+        x = int.from_bytes(bytes(row), "little")
+        y = int.from_bytes(apply(inst, bytes(row)), "little")
+        for p in range(64):
+            flipped = apply(inst, (x ^ 1 << p).to_bytes(8, "little"))
+            counts[(int.from_bytes(flipped, "little") ^ y).bit_count()] += 1
+    return counts
+
+
+@pytest.mark.parametrize("sbox_mode", SBOX_MODES)
+@pytest.mark.parametrize("rounds", [1, 2, 15])
+def test_counts_match_a_scalar_reference(pool32, sbox_mode, rounds):
+    params = SucParams(rounds=rounds)
+    stream = SeededEntropy(rounds)
+    inst = draw_instance(
+        pool32, params, stream, replicate_single=sbox_mode == "single-replicated"
+    )
+    inputs = np.frombuffer(stream.read(8 * 12), dtype=np.uint8).reshape(12, 8)
+    counts = analysis._avalanche_counts_for_instance(inst, inputs)
+    assert counts.shape == (65,)
+    assert np.array_equal(counts, reference_counts(inst, inputs))
 
 
 def test_config_validation():

@@ -185,6 +185,26 @@ def test_batch_accepts_any_block_array_form(pool32):
     assert empty.shape == (0, 8) and empty.dtype == np.uint8
 
 
+@pytest.mark.parametrize("n", [1, 2, 1024, 6500])
+def test_batch_matches_scalar_at_every_call_size(pool32, n):
+    # 1 and 2 blocks answer short challenges, 1024 a t=1024 enrolment,
+    # 6500 one avalanche instance
+    inst = make_instance(pool32, seed=n)
+    blocks = np.random.default_rng(n).integers(0, 256, (n, 8), dtype=np.uint8)
+    want = b"".join(apply(inst, bytes(row)) for row in blocks)
+    assert apply_batch(inst, blocks).tobytes() == want
+
+
+def test_batch_leaves_a_read_only_input_unchanged(pool32):
+    inst = make_instance(pool32, seed=15)
+    raw = SeededEntropy(15).read(8 * 64)
+    blocks = np.frombuffer(raw, dtype=np.uint8).reshape(64, 8)
+    assert not blocks.flags.writeable
+    out = apply_batch(inst, blocks)
+    assert blocks.tobytes() == raw
+    assert out.tobytes() == b"".join(apply(inst, raw[i : i + 8]) for i in range(0, 512, 8))
+
+
 def test_batch_involution(pool32):
     inst = make_instance(pool32, seed=13)
     rng = np.random.default_rng(4)

@@ -498,6 +498,11 @@ def _spawn_service(uir_dir, enroll_pairs):
             ["serve-ta", "--listen", "127.0.0.1:0", "--timeout", t]
             for t in ("0", "-1", "nan", "inf")
         ),
+        *(
+            ["agent", "--device", "nowhere/dev01", "--connect", "127.0.0.1:1",
+             "--timeout", t]
+            for t in ("0", "-1", "nan", "inf")
+        ),
     ],
 )
 def test_service_and_agent_usage_errors(capsys, tmp_path, monkeypatch, argv):

@@ -5,6 +5,8 @@ their exact values are part of the contract, not an implementation
 detail.
 """
 
+import hashlib
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -32,6 +34,26 @@ def test_seeded_read_is_a_stream():
     a = SeededEntropy(9)
     b = SeededEntropy(9)
     assert a.read(10) + a.read(10) + a.read(12) == b.read(32)
+
+
+def test_mixed_size_reads_equal_one_large_read():
+    sizes = [1, 0, 31, 32, 33, 1, 64, 65, 200, 7, 1000, 3, 4096, 1]
+    a, b = SeededEntropy(11), SeededEntropy(11)
+    assert b"".join(a.read(k) for k in sizes) == b.read(sum(sizes))
+    assert (a._counter, a._buffer) == (b._counter, b._buffer)
+    assert a.read(100) == b.read(100)
+
+
+def test_a_large_read_is_the_hash_counter_stream():
+    seed = (3).to_bytes(16, "big")
+    n = 8 * 65535
+    blocks = (n + 31) // 32
+    want = b"".join(
+        hashlib.sha256(seed + i.to_bytes(8, "big")).digest() for i in range(blocks)
+    )
+    e = SeededEntropy(3)
+    assert e.read(n) == want[:n]
+    assert e._counter == blocks and e._buffer == want[n:]
 
 
 def test_read_counts_bytes():

@@ -474,6 +474,17 @@ def test_service_refuses_a_timeout_that_is_not_positive_and_finite(tmp_path, tim
         TaService(UirStore(tmp_path / "uir"), timeout=timeout)
 
 
+@pytest.mark.parametrize("timeout", [0, -1, float("nan"), float("inf")])
+def test_agent_refuses_a_timeout_that_is_not_positive_and_finite(booted, timeout):
+    dev = booted()
+    with socket.create_server(("127.0.0.1", 0)) as listener:
+        with pytest.raises(ValueError, match="timeout must be positive and finite"):
+            netlink.run_agent(dev, listener.getsockname(), timeout=timeout)
+        listener.settimeout(0.2)
+        with pytest.raises(socket.timeout):
+            listener.accept()  # the agent never connected
+
+
 def agent_against_fake_service(dev, frames):
     """run_agent against a listener that acknowledges HELLO, then sends frames."""
     listener = socket.create_server(("127.0.0.1", 0))
