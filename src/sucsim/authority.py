@@ -41,7 +41,7 @@ from typing import NamedTuple, Protocol
 import numpy as np
 
 from . import records
-from .cipher import SucParams, apply, apply_batch
+from .cipher import SucParams, apply
 from .entropy import EntropySource
 from .errors import ChannelError, EnrollmentError
 
@@ -258,7 +258,7 @@ class UirStore:
         FileExistsError. Uses are appended by `mark_used`, never saved."""
         if record.used:
             raise ValueError("a new record cannot have a used pair")
-        header = {
+        fields = {
             "serial": record.serial,
             "created_at": record.created_at,
             "rounds": record.params.rounds,
@@ -266,8 +266,13 @@ class UirStore:
             "pool_digest": record.params.pool_digest.hex(),
         }
         h = record.pair_bytes.hex()
-        pairs = [f"{h[i : i + 16]} {h[i + 16 : i + 32]}" for i in range(0, len(h), 32)]
-        records.write(self._path(record.serial), header, (("pair", pairs),), replace=False)
+        if h:
+            # the rows go as one rendered value, one join rather than one
+            # more format per row: records run to 1000s of rows
+            fields["pair"] = "\npair: ".join(
+                f"{h[i : i + 16]} {h[i + 16 : i + 32]}" for i in range(0, len(h), 32)
+            )
+        records.write(self._path(record.serial), fields, replace=False)
 
     def mark_used(self, serial: str, index: int) -> None:
         """Durably record the use of pair index: one fsynced appended line."""
@@ -335,11 +340,8 @@ class LocalDeviceChannel:
         self._dev = dev
 
     def respond(self, blocks: bytes) -> bytes:
-        """One block through `apply`, several through `apply_batch`, which
-        costs more for one block and far less per block for many."""
+        """The device's answers to 8n challenge bytes; ValueError unless
+        they are whole blocks."""
         if self._dev.loaded is None:
             raise ChannelError(f"device {self.serial} has no loaded instance")
-        if len(blocks) == 8:
-            return apply(self._dev.loaded, blocks)
-        xs = np.frombuffer(blocks, np.uint8).reshape(-1, 8)  # ValueError unless 8n bytes
-        return apply_batch(self._dev.loaded, xs).tobytes()
+        return apply(self._dev.loaded, blocks)

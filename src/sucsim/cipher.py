@@ -25,11 +25,16 @@ the last substitution layer. p_layer and s_layer keep the layer-by-
 layer definition for tests to compare against.
 
 Blocks are 8 bytes; hex encoding is byte 0 first, and the 64-bit words
-are the blocks read little-endian. apply runs one block on Python ints.
-apply_batch runs an (N, 8) uint8 array for the statistical harness and
-for multi-block challenges: each round copies the state's bytes once
-into an (8, N) index plane, gathers each row through its table into
-one preallocated word buffer and XORs it into the state in place.
+are the blocks read little-endian. apply answers 8n bytes with 8n bytes:
+one block runs on Python ints, more go to apply_batch. apply_batch runs
+an (N, 8) uint8 array for the statistical harness and for multi-block
+challenges: each round copies the state's bytes once into an (8, N)
+index plane, gathers each row through its table into one preallocated
+word buffer and XORs it into the state in place.
+
+The byte tables come from the pool as bytes (see `sbox4` and `sbox8`):
+an instance draws 16-byte slices of the pool's blob, and its sealed
+form is the eight 256-byte tables joined.
 """
 
 from __future__ import annotations
@@ -144,12 +149,21 @@ class SucInstance:
 
     def tables_blob(self) -> bytes:
         """The 2048-byte concatenation sealed into device storage."""
-        return b"".join(s.to_bytes() for s in self.sboxes)
+        return b"".join(s.table for s in self.sboxes)
 
 
-def apply(suc: SucInstance, block: bytes) -> bytes:
-    """Run the cipher; its own inverse."""
-    b = check_block(block)
+def apply(suc: SucInstance, blocks: bytes) -> bytes:
+    """Run the cipher over 8n bytes, n >= 1; its own inverse.
+
+    One block runs the T-table loop on Python ints; more go to
+    apply_batch, which costs more for one block and far less per block
+    for many. ValueError for no bytes or a partial block.
+    """
+    b = bytes(blocks)
+    if len(b) != BLOCK_BYTES:
+        if not b or len(b) % BLOCK_BYTES:
+            raise ValueError(f"blocks must be whole 8-byte blocks, got {len(b)} bytes")
+        return apply_batch(suc, np.frombuffer(b, np.uint8).reshape(-1, 8)).tobytes()
     t0, t1, t2, t3, t4, t5, t6, t7 = suc._rows
     for _ in range(suc.params.rounds):
         x = (
@@ -194,23 +208,16 @@ def draw_instance(
     the same byte table in all eight positions.
     """
     per_box = (params.feistel_r + 1) // 2
+
+    def draw_box() -> SBox8:
+        starts = [16 * entropy.draw_index(pool.count) for _ in range(per_box)]
+        free = tuple(pool.blob[i : i + 16] for i in starts)
+        return feistel8(FeistelSpec(r=params.feistel_r, free=free))
+
     if replicate_single:
-        free = tuple(pool.entries[entropy.draw_index(pool.count)] for _ in range(per_box))
-        box = feistel8(FeistelSpec(r=params.feistel_r, free=free))
-        sboxes = (box,) * 8
+        sboxes = (draw_box(),) * 8
     else:
-        sboxes = tuple(
-            feistel8(
-                FeistelSpec(
-                    r=params.feistel_r,
-                    free=tuple(
-                        pool.entries[entropy.draw_index(pool.count)]
-                        for _ in range(per_box)
-                    ),
-                )
-            )
-            for _ in range(8)
-        )
+        sboxes = tuple(draw_box() for _ in range(8))
     return SucInstance(sboxes=sboxes, params=params)
 
 

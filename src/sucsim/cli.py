@@ -36,6 +36,7 @@ from .sbox4 import (
 )
 from .sbox8 import (
     FeistelSpec,
+    SBox8,
     class_log2_cardinality,
     feistel8,
     profile8,
@@ -119,7 +120,7 @@ def cmd_build_sbox8(args) -> int:
     for idx in indices:
         if not 0 <= idx < pool.count:
             raise ValueError(f"free index {idx} outside pool of {pool.count}")
-    spec = FeistelSpec(r=args.r, free=tuple(pool.entries[i] for i in indices))
+    spec = FeistelSpec(r=args.r, free=tuple(pool.blob[16 * i : 16 * i + 16] for i in indices))
     box = feistel8(spec)
     with open(args.out, "w") as f:
         f.write(table8_to_hex(box) + "\n")
@@ -140,9 +141,7 @@ def _read_table8(path):
     with open(path, "rb") as f:
         raw = f.read()
     if len(raw) == 256:
-        from .sbox8 import SBox8
-
-        return SBox8.from_bytes(raw)
+        return SBox8(raw)
     return table8_from_hex(raw.decode("ascii"))
 
 

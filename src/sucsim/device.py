@@ -177,7 +177,7 @@ def reinit(dev: DeviceState) -> SucInstance:
     data = unseal(key, dev.envm.blob, _aad(dev.serial, dev.envm.params))
     if len(data) != TABLES_BYTES:
         raise IntegrityError(f"sealed payload has {len(data)} bytes, want {TABLES_BYTES}")
-    sboxes = tuple(SBox8.from_bytes(data[256 * i : 256 * (i + 1)]) for i in range(8))
+    sboxes = tuple(SBox8(data[i : i + 256]) for i in range(0, TABLES_BYTES, 256))
     try:
         instance = SucInstance(sboxes=sboxes, params=dev.envm.params)
     except ValueError as exc:

@@ -33,11 +33,9 @@ import threading
 import time
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from . import authority, records
 from .authority import AuthResult, UirStore
-from .cipher import apply, apply_batch
+from .cipher import apply
 from .entropy import EntropySource, SystemEntropy
 from .errors import ChannelError, FrameError, ProtocolError, SucError
 
@@ -353,13 +351,11 @@ class AgentOutcome:
 def run_agent(dev, address: tuple, timeout: float = 10.0) -> AgentOutcome:
     """One agent session for a loaded (or deliberately unbootable) device.
 
-    Answers CHALLENGE frames with the device cipher until the service
-    closes the exchange: a one-block challenge through `apply`, a longer
-    one through `apply_batch`, which is dearer for one block and far
-    cheaper per block for many; `answered` counts blocks. A device with
-    nothing loaded answers ERROR, so the service rejects it. A session
-    that ends without ENROLL_END, AUTH_RESULT or ERROR reports the error
-    "session closed".
+    Answers CHALLENGE frames with the device cipher, through `apply`,
+    until the service closes the exchange; `answered` counts blocks. A
+    device with nothing loaded answers ERROR, so the service rejects it.
+    A session that ends without ENROLL_END, AUTH_RESULT or ERROR reports
+    the error "session closed".
     """
     check_timeout(timeout)
     outcome = AgentOutcome(serial=dev.serial)
@@ -386,12 +382,7 @@ def run_agent(dev, address: tuple, timeout: float = 10.0) -> AgentOutcome:
                 n, rest = divmod(len(frame.payload), 8)
                 if n == 0 or rest:
                     raise ProtocolError("challenge must be whole 8-byte blocks")
-                if n == 1:
-                    answer = apply(dev.loaded, frame.payload)
-                else:
-                    xs = np.frombuffer(frame.payload, np.uint8).reshape(n, 8)
-                    answer = apply_batch(dev.loaded, xs).tobytes()
-                channel.send(Frame(FrameKind.RESPONSE, answer))
+                channel.send(Frame(FrameKind.RESPONSE, apply(dev.loaded, frame.payload)))
                 outcome.answered += n
             elif frame.kind == FrameKind.ENROLL_BEGIN:
                 if len(frame.payload) != 2:

@@ -24,14 +24,11 @@ import re
 SERIAL_RE = re.compile(r"\A[A-Za-z0-9][A-Za-z0-9_.-]{0,63}\Z")
 
 
-def write(path: str, fields: dict, groups=(), *, replace: bool) -> None:
-    """Atomically write the header fields, in dict order, then a `key: value` line per row
-    of each (key, rows) group to path: over a file there if replace, else FileExistsError."""
+def write(path: str, fields: dict, *, replace: bool) -> None:
+    """Atomically write a `key: value` line per field, in dict order, to path:
+    over a file there if replace, else FileExistsError. A value may carry
+    further lines, already rendered as `key: value` lines."""
     lines = [f"{key}: {value}" for key, value in fields.items()]
-    for key, rows in groups:
-        if rows:
-            # one join, not one more format per row: records run to 1000s of rows
-            lines.append(f"{key}: " + f"\n{key}: ".join(rows))
     tmp = f"{path}.{os.urandom(8).hex()}.tmp"  # concurrent writers never share one
     try:
         with open(tmp, "x", encoding="ascii") as f:

@@ -1,6 +1,10 @@
 """4-bit S-box workbench: exhaustive profiling, randomized generation of
 the optimal class, and pool files.
 
+A 4-bit table is 16 bytes, one value in [0, 15] each. A pool is one blob
+of 16-byte tables, entry i at blob[16i : 16i + 16]; its file holds that
+blob between a header and its SHA-256.
+
 The target class is the Serpent-type optimal S-boxes: bijective 16-entry
 tables with linearity 8, differential resistance 4, and every one-bit
 input difference flipping at least two output bits. Plain rejection
@@ -15,26 +19,29 @@ candidates.
 from __future__ import annotations
 
 import hashlib
+import os
+import re
 import struct
 from dataclasses import dataclass
 
 from .entropy import EntropySource
 from .errors import PoolFormatError, SearchBudgetExceeded
 
-SBox4 = tuple  # 16 ints in [0, 15]
-
 POOL_MAGIC = b"SBOXPOOL"
 POOL_VERSION = 1
 _HEADER = struct.Struct(">8sH6x")  # magic, version, reserved
 _COUNT = struct.Struct(">I")
+_NOT_NIBBLE = re.compile(rb"[^\x00-\x0f]")
 
 
-def check_table4(table) -> SBox4:
-    """Validate and normalize a 16-entry table; returns an immutable tuple."""
-    t = tuple(int(v) for v in table)
+def check_table4(table) -> bytes:
+    """Validate a 16-entry table of values in [0, 15]; returns it as bytes."""
+    # bytes() takes only ints in [0, 255]; iter() keeps it from reading
+    # an int as a length
+    t = table if isinstance(table, bytes) else bytes(iter(table))
     if len(t) != 16:
         raise ValueError(f"table must have 16 entries, got {len(t)}")
-    if any(v < 0 or v > 15 for v in t):
+    if _NOT_NIBBLE.search(t):
         raise ValueError("table entries must lie in [0, 15]")
     return t
 
@@ -108,7 +115,7 @@ _NEAR = tuple(
 
 def sample_serpent_type(
     entropy: EntropySource, max_candidates: int = 100_000
-) -> SBox4:
+) -> bytes:
     """Draw one random member of the Serpent-type class.
 
     Randomized DFS over partial permutations. A value v at position x is
@@ -163,38 +170,42 @@ def sample_serpent_type(
         # With pruning only on sound necessary conditions the search space
         # always contains members, so this is unreachable in practice.
         raise SearchBudgetExceeded("search space exhausted")
-    return tuple(table)
+    return bytes(table)
 
 
 @dataclass(frozen=True)
 class SBoxPool:
-    """Ordered collection of distinct verified Serpent-type S-boxes."""
+    """Ordered collection of distinct verified Serpent-type S-boxes, held
+    as one blob of 16-byte tables: entry i is blob[16i : 16i + 16]."""
 
-    entries: tuple
+    blob: bytes
+
+    def __post_init__(self):
+        if len(self.blob) % 16:
+            raise ValueError(f"pool blob of {len(self.blob)} bytes is not whole tables")
 
     @property
     def count(self) -> int:
-        return len(self.entries)
+        return len(self.blob) // 16
 
     @property
     def digest(self) -> bytes:
-        return pool_digest(self.entries)
+        """SHA-256 over the concatenated 16-byte tables."""
+        return hashlib.sha256(self.blob).digest()
 
-
-def pool_digest(entries) -> bytes:
-    """SHA-256 over the concatenated 16-byte records."""
-    h = hashlib.sha256()
-    for t in entries:
-        h.update(bytes(t))
-    return h.digest()
+    @property
+    def entries(self) -> tuple:
+        """The tables as a tuple of 16-byte slices. Only the benchmark's
+        pool-gen workload reads this (len, set, iteration); the library
+        slices the blob."""
+        return tuple(self.blob[i : i + 16] for i in range(0, len(self.blob), 16))
 
 
 def build_pool(count: int, entropy: EntropySource) -> SBoxPool:
     """Generate `count` pairwise-distinct Serpent-type S-boxes."""
     if count < 1:
         raise ValueError("count must be >= 1")
-    seen = set()
-    entries = []
+    entries = {}  # distinct tables in draw order
     attempts = 0
     limit = 4 * count + 100  # duplicates are astronomically rare
     while len(entries) < count:
@@ -203,49 +214,44 @@ def build_pool(count: int, entropy: EntropySource) -> SBoxPool:
             raise SearchBudgetExceeded(
                 f"could not reach {count} distinct entries in {limit} attempts"
             )
-        t = sample_serpent_type(entropy)
-        if t in seen:
-            continue
-        seen.add(t)
-        entries.append(t)
-    return SBoxPool(entries=tuple(entries))
+        entries[sample_serpent_type(entropy)] = None
+    return SBoxPool(blob=b"".join(entries))
 
 
 def write_pool(pool: SBoxPool, path) -> None:
-    body = b"".join(bytes(t) for t in pool.entries)
-    blob = (
-        _HEADER.pack(POOL_MAGIC, POOL_VERSION)
-        + _COUNT.pack(pool.count)
-        + body
-        + pool_digest(pool.entries)
-    )
     with open(path, "wb") as f:
-        f.write(blob)
+        f.write(_HEADER.pack(POOL_MAGIC, POOL_VERSION) + _COUNT.pack(pool.count))
+        f.write(pool.blob)
+        f.write(pool.digest)
 
 
 def read_pool(path) -> SBoxPool:
-    with open(path, "rb") as f:
-        blob = f.read()
-    if len(blob) < _HEADER.size + _COUNT.size + 32:
-        raise PoolFormatError("pool file truncated")
-    magic, version = _HEADER.unpack_from(blob, 0)
-    if magic != POOL_MAGIC:
-        raise PoolFormatError(f"bad magic {magic!r}")
-    if version != POOL_VERSION:
-        raise PoolFormatError(f"unsupported pool version {version}")
-    (count,) = _COUNT.unpack_from(blob, _HEADER.size)
+    """The pool in the file at path; PoolFormatError unless the header,
+    length and digest check out, it has an entry, and every value is a
+    nibble. The body is read straight into the pool's blob."""
     start = _HEADER.size + _COUNT.size
-    end = start + 16 * count
-    if len(blob) != end + 32:
-        raise PoolFormatError(
-            f"pool file length {len(blob)} does not match count {count}"
-        )
-    entries = tuple(tuple(blob[i : i + 16]) for i in range(start, end, 16))
-    if hashlib.sha256(blob[start:end]).digest() != blob[end:]:
+    with open(path, "rb") as f:
+        size = os.fstat(f.fileno()).st_size
+        head = f.read(start)
+        if size < start + 32:
+            raise PoolFormatError("pool file truncated")
+        magic, version = _HEADER.unpack_from(head, 0)
+        if magic != POOL_MAGIC:
+            raise PoolFormatError(f"bad magic {magic!r}")
+        if version != POOL_VERSION:
+            raise PoolFormatError(f"unsupported pool version {version}")
+        (count,) = _COUNT.unpack_from(head, _HEADER.size)
+        if size != start + 16 * count + 32:
+            raise PoolFormatError(f"pool file length {size} does not match count {count}")
+        if count == 0:
+            raise PoolFormatError("pool file holds no entries")
+        body = f.read(16 * count)
+        digest = f.read()  # a file changed since fstat fails the digest
+    if hashlib.sha256(body).digest() != digest:
         raise PoolFormatError("content digest mismatch")
-    for t in entries:
-        check_table4(t)
-    return SBoxPool(entries=entries)
+    if _NOT_NIBBLE.search(body):  # one scan, and no copy of the body
+        raise PoolFormatError("pool entry value outside [0, 15]")
+    return SBoxPool(blob=body)
 
 
 def table_to_hex(table) -> str:
@@ -253,7 +259,7 @@ def table_to_hex(table) -> str:
     return "".join(f"{v:x}" for v in check_table4(table))
 
 
-def table_from_hex(s: str) -> SBox4:
+def table_from_hex(s: str) -> bytes:
     s = s.strip().lower()
     if len(s) != 16:
         raise ValueError("expected exactly 16 hex digits")

@@ -13,6 +13,9 @@ with L the high nibble. Each round is then its own inverse, and running
 the palindrome backwards is the same as running it forwards, so the
 resulting byte permutation is an involution for any choice of round
 functions. No swap after the last round.
+
+Every table is bytes: a round function is the 16-byte table of `sbox4`
+and an SBox8 holds the 256-byte table itself.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ from .sbox4 import check_table4
 
 @dataclass(frozen=True)
 class FeistelSpec:
-    """r odd rounds; free holds the (r+1)/2 selectable round functions."""
+    """r odd rounds; free holds the (r+1)/2 selectable 16-byte round functions."""
 
     r: int
     free: tuple
@@ -46,33 +49,24 @@ class FeistelSpec:
 
 @dataclass(frozen=True)
 class SBox8:
-    """256-entry byte substitution."""
+    """256-entry byte substitution, held as 256 bytes."""
 
-    table: tuple
+    table: bytes
 
     def __post_init__(self):
         # bytes() takes only ints in [0, 255]; iter() keeps it from reading
         # an int as a length or an array through the buffer protocol
-        t = bytes(iter(self.table))
+        t = self.table if isinstance(self.table, bytes) else bytes(iter(self.table))
         if len(t) != 256:
             raise ValueError("table must be 256 values in [0, 255]")
-        object.__setattr__(self, "table", tuple(t))
+        object.__setattr__(self, "table", t)
 
     def is_involution(self) -> bool:
-        t = self.table
-        return all(t[t[x]] == x for x in range(256))
-
-    def to_bytes(self) -> bytes:
-        return bytes(self.table)
-
-    @classmethod
-    def from_bytes(cls, data: bytes) -> "SBox8":
-        if len(data) != 256:
-            raise ValueError("expected 256 bytes")
-        return cls(table=tuple(data))
+        return self.table.translate(self.table) == _IDENTITY
 
 
-# The nibble halves of every byte x, as 256-byte strings indexed by x.
+# Every byte x, and its nibble halves, as 256-byte strings indexed by x.
+_IDENTITY = bytes(range(256))
 _HIGH = bytes(x >> 4 for x in range(256))
 _LOW = bytes(x & 0x0F for x in range(256))
 
@@ -89,7 +83,7 @@ def feistel8(spec: FeistelSpec) -> SBox8:
     """
     left, right = _HIGH, _LOW
     for k in range(spec.r):
-        s = bytes(spec.free[min(k, spec.r - 1 - k)]).ljust(256, b"\0")
+        s = spec.free[min(k, spec.r - 1 - k)].ljust(256, b"\0")
         if k % 2 == 0:
             left = _xor(left, right.translate(s)).to_bytes(256, "big")
         else:
@@ -136,7 +130,7 @@ _ONE_BIT = 1 << np.arange(8)
 def profile8(sbox) -> SBoxProfile8:
     """Full 256x256 DDT and 256x255 Walsh scan of an 8-bit table."""
     box = sbox if isinstance(sbox, SBox8) else SBox8(table=sbox)
-    t = np.frombuffer(box.to_bytes(), dtype=np.uint8)
+    t = np.frombuffer(box.table, dtype=np.uint8)
 
     bijective = len(set(box.table)) == 256
     involutive = bool(np.all(t[t] == _BYTES))
@@ -177,12 +171,11 @@ def class_log2_cardinality(r: int, set_size: int) -> float:
 
 
 def table8_to_hex(sbox) -> str:
-    table = sbox.table if isinstance(sbox, SBox8) else tuple(sbox)
-    return bytes(table).hex()
+    return (sbox.table if isinstance(sbox, SBox8) else bytes(iter(sbox))).hex()
 
 
 def table8_from_hex(s: str) -> SBox8:
     s = s.strip().lower()
     if len(s) != 512:
         raise ValueError("expected exactly 512 hex digits")
-    return SBox8.from_bytes(bytes.fromhex(s))
+    return SBox8(bytes.fromhex(s))

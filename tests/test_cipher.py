@@ -195,6 +195,21 @@ def test_batch_matches_scalar_at_every_call_size(pool32, n):
     assert apply_batch(inst, blocks).tobytes() == want
 
 
+@pytest.mark.parametrize("n", [1, 2, 1024])
+def test_apply_answers_several_blocks_as_it_answers_each(pool32, n):
+    inst = make_instance(pool32, seed=16)
+    raw = SeededEntropy(n).read(8 * n)
+    each = b"".join(apply(inst, raw[i : i + 8]) for i in range(0, 8 * n, 8))
+    assert apply(inst, raw) == each
+
+
+@pytest.mark.parametrize("size", [0, 12])
+def test_apply_refuses_no_bytes_and_a_partial_block(pool32, size):
+    inst = make_instance(pool32, seed=17)
+    with pytest.raises(ValueError, match="whole 8-byte blocks"):
+        apply(inst, bytes(size))
+
+
 def test_batch_leaves_a_read_only_input_unchanged(pool32):
     inst = make_instance(pool32, seed=15)
     raw = SeededEntropy(15).read(8 * 64)

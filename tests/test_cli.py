@@ -5,7 +5,10 @@ exit codes are returned, not raised. The one exception is serve-ta,
 which blocks forever by design and therefore runs as a subprocess.
 """
 
+import hashlib
 import json
+import os
+import struct
 import subprocess
 import sys
 import threading
@@ -14,7 +17,7 @@ import pytest
 
 from sucsim import cli, device, netlink
 from sucsim.entropy import SeededEntropy
-from sucsim.sbox4 import is_serpent_type, read_pool, write_pool
+from sucsim.sbox4 import POOL_MAGIC, POOL_VERSION, is_serpent_type, read_pool, write_pool
 from sucsim.sbox8 import profile8, table8_from_hex
 
 SERPENT_S0_HEX = "38f1a65bed42709c"
@@ -218,7 +221,7 @@ def test_profile8_reads_raw_bytes(capsys, tmp_path, pool32_file):
     hex_text = open(table_file).read()
     box = table8_from_hex(hex_text)
     raw_file = tmp_path / "box.bin"
-    raw_file.write_bytes(box.to_bytes())
+    raw_file.write_bytes(box.table)
 
     rc, out, _ = run(capsys, "profile8", "--table", str(raw_file))
     assert rc == 0
@@ -274,6 +277,17 @@ def test_respond_is_an_involution(capsys, tmp_path, pool32_file):
     _, second, _ = run(capsys, "respond", "--device", prefix,
                        "--challenge", first.strip())
     assert second.strip() == challenge
+
+
+def test_personalize_refuses_an_empty_pool_before_making_a_device(capsys, tmp_path):
+    pool_file = tmp_path / "empty.pool"
+    head = struct.pack(">8sH6xI", POOL_MAGIC, POOL_VERSION, 0)
+    pool_file.write_bytes(head + hashlib.sha256(b"").digest())
+    rc, out, err = run(capsys, "personalize", "--device", str(tmp_path / "d" / "dev01"),
+                       "--pool", str(pool_file), "--seed", "0")
+    assert (rc, out) == (1, "")
+    assert err.startswith("error: ") and "no entries" in err
+    assert not os.path.exists(tmp_path / "d")
 
 
 def test_personalize_twice_fails(capsys, tmp_path, pool32_file):

@@ -12,9 +12,11 @@ import random
 import pytest
 
 from sucsim import device
-from sucsim.cipher import SucParams, apply
+from sucsim.cipher import SucParams, apply, draw_instance
 from sucsim.entropy import SeededEntropy
 from sucsim.errors import DeviceError, IntegrityError, LifecycleError
+from sucsim.sbox4 import read_pool, write_pool
+from sucsim.sbox8 import FeistelSpec
 
 
 def fresh(tmp_path, serial="dev01", seed=1):
@@ -154,6 +156,21 @@ def test_boot_restores_the_same_instance(tmp_path, pool32):
     personalize(d, dev, pool32)
     blobs = {device.boot(d, "dev01").loaded.tables_blob() for _ in range(5)}
     assert len(blobs) == 1
+
+
+def test_every_table_is_bytes_from_the_pool_file_to_a_booted_device(tmp_path, pool32):
+    write_pool(pool32, tmp_path / "pool.bin")
+    pool = read_pool(tmp_path / "pool.bin")
+    assert type(pool.blob) is bytes
+    spec = FeistelSpec(r=3, free=(list(range(16)), pool.blob[:16]))
+    assert [type(t) for t in spec.free] == [bytes, bytes]
+    drawn = draw_instance(pool, SucParams(), SeededEntropy(2))
+    assert all(type(box.table) is bytes for box in drawn.sboxes)
+    d, dev = fresh(tmp_path)
+    personalize(d, dev, pool, seed=2)  # draws the same instance from the same stream
+    booted = device.boot(d, "dev01").loaded
+    assert all(type(box.table) is bytes for box in booted.sboxes)
+    assert booted.tables_blob() == drawn.tables_blob()
 
 
 def test_power_off_drops_volatile_state(tmp_path, pool32):

@@ -12,6 +12,7 @@ import pathlib
 
 from sucsim.authority import AuthResult, UirStore, authenticate, enroll
 from sucsim.entropy import SeededEntropy
+from sucsim.sbox4 import is_serpent_type, read_pool, write_pool
 
 TRACING = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
@@ -94,3 +95,16 @@ def test_a_loaded_record_offers_what_the_benchmark_reads(tmp_path):
     assert [p.used for p in record.pairs] == [i < 5 for i in range(16)]
     for i, p in enumerate(record.pairs):
         assert p.x + p.y == record.pair_bytes[16 * i : 16 * i + 16]
+
+
+def test_a_pool_offers_what_the_benchmark_reads(tmp_path, pool32):
+    # perfbench/pool_gen.py checks pools through len, set and iteration of entries
+    path = tmp_path / "pool.bin"
+    write_pool(pool32, path)
+    pool = read_pool(path)
+    entries = pool.entries
+    assert len(entries) == pool.count == 32
+    assert len(set(entries)) == pool.count
+    assert all(len(t) == 16 and is_serpent_type(t) for t in entries)
+    assert b"".join(entries) == pool.blob
+

@@ -7,18 +7,23 @@ a transform-based path, so agreement between the two is a meaningful
 check rather than a tautology.
 """
 
+import hashlib
 import random
+import struct
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from sucsim.entropy import RecordedEntropy, SeededEntropy
 from sucsim.errors import EntropyExhausted, PoolFormatError, SearchBudgetExceeded
 from sucsim.sbox4 import (
+    POOL_MAGIC,
+    POOL_VERSION,
+    SBoxPool,
     build_pool,
     check_table4,
     is_serpent_type,
-    pool_digest,
     profile4,
     read_pool,
     sample_serpent_type,
@@ -127,6 +132,16 @@ def test_check_table4_rejects_bad_shapes():
         check_table4([16] + list(range(15)))
     with pytest.raises(ValueError):
         check_table4([-1] + list(range(15)))
+    for bad in (range(17), [256] + list(range(15)), bytes(15), b"\x10" + bytes(15)):
+        with pytest.raises(ValueError):
+            check_table4(bad)
+
+
+def test_check_table4_returns_bytes():
+    want = bytes(range(16))
+    for form in (list(range(16)), range(16), np.arange(16, dtype=np.uint8), want):
+        assert check_table4(form) == want
+        assert type(check_table4(form)) is bytes
 
 
 # ---------------------------------------------------------------------------
@@ -198,7 +213,7 @@ def counters(e):
 def test_sampler_matches_the_plain_dfs_draw_for_draw(seed):
     fast, ref = SeededEntropy(seed), SeededEntropy(seed)
     for _ in range(2):
-        assert sample_serpent_type(fast) == ref_sample(ref)
+        assert sample_serpent_type(fast) == bytes(ref_sample(ref))
         assert counters(fast) == counters(ref)
     assert fast.take_bits(13) == ref.take_bits(13)
 
@@ -228,7 +243,7 @@ def test_class_closed_under_xor_composition(c, d, seed):
 
 @given(st.permutations(range(16)))
 def test_hex_roundtrip(perm):
-    t = tuple(perm)
+    t = bytes(perm)
     assert table_from_hex(table_to_hex(t)) == t
 
 
@@ -261,11 +276,19 @@ def test_pool_roundtrip(tmp_path, pool32):
     back = read_pool(path)
     assert back.entries == pool32.entries
     assert back.digest == pool32.digest
+    assert type(back.blob) is bytes and back.blob == pool32.blob
+    assert back.digest == hashlib.sha256(back.blob).digest()
 
 
 def test_pool_digest_is_order_sensitive(pool32):
     reversed_entries = tuple(reversed(pool32.entries))
-    assert pool_digest(reversed_entries) != pool_digest(pool32.entries)
+    assert SBoxPool(blob=b"".join(reversed_entries)).digest != pool32.digest
+
+
+def test_a_pool_blob_holds_whole_tables(pool32):
+    assert len(pool32.blob) == 16 * pool32.count == 16 * 32
+    with pytest.raises(ValueError):
+        SBoxPool(blob=pool32.blob[:-1])
 
 
 def test_build_pool_rejects_zero_count():
@@ -312,6 +335,28 @@ def test_pool_file_rejects_body_corruption(tmp_path, pool32):
     path, blob = _pool_file(tmp_path, pool32)
     blob[20 + 5] ^= 0x01  # inside the first record
     _expect_format_error(path, blob)
+
+
+def raw_pool_file(path, body: bytes):
+    """A pool file around body whose header and digest are both right."""
+    head = struct.pack(">8sH6xI", POOL_MAGIC, POOL_VERSION, len(body) // 16)
+    path.write_bytes(head + body + hashlib.sha256(body).digest())
+    return path
+
+
+def test_pool_file_rejects_an_empty_pool(tmp_path):
+    path = raw_pool_file(tmp_path / "empty.pool", b"")
+    with pytest.raises(PoolFormatError, match="no entries"):
+        read_pool(path)
+
+
+@pytest.mark.parametrize("value", [16, 255])
+def test_pool_file_rejects_a_value_outside_a_nibble(tmp_path, pool32, value):
+    body = bytearray(pool32.blob)
+    body[-1] = value  # last value of the last table; the digest is recomputed
+    path = raw_pool_file(tmp_path / "bad.pool", bytes(body))
+    with pytest.raises(PoolFormatError, match="outside"):
+        read_pool(path)
 
 
 def test_pool_file_rejects_digest_corruption(tmp_path, pool32):
