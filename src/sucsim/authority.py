@@ -267,8 +267,7 @@ class UirStore:
         }
         h = record.pair_bytes.hex()
         if h:
-            # the rows go as one rendered value, one join rather than one
-            # more format per row: records run to 1000s of rows
+            # one rendered value, one join: records run to 1000s of rows
             fields["pair"] = "\npair: ".join(
                 f"{h[i : i + 16]} {h[i + 16 : i + 32]}" for i in range(0, len(h), 32)
             )

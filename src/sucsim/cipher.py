@@ -153,12 +153,9 @@ class SucInstance:
 
 
 def apply(suc: SucInstance, blocks: bytes) -> bytes:
-    """Run the cipher over 8n bytes, n >= 1; its own inverse.
-
-    One block runs the T-table loop on Python ints; more go to
-    apply_batch, which costs more for one block and far less per block
-    for many. ValueError for no bytes or a partial block.
-    """
+    """Run the cipher over 8n bytes, n >= 1; its own inverse. One block
+    runs on Python ints; more go to apply_batch, dearer for one block and
+    far cheaper per block for many. ValueError for no or a partial block."""
     b = bytes(blocks)
     if len(b) != BLOCK_BYTES:
         if not b or len(b) % BLOCK_BYTES:

@@ -82,7 +82,7 @@ def _walsh_max_4(table) -> int:
 
 def profile4(table) -> SBoxProfile:
     """Exhaustively profile a 16-entry table (all masks, all differences)."""
-    t = check_table4(table)
+    t = list(check_table4(table))  # the loops below index a list faster than bytes
     bijective = len(set(t)) == 16
 
     ddt = [[0] * 16 for _ in range(16)]

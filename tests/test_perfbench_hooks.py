@@ -107,4 +107,3 @@ def test_a_pool_offers_what_the_benchmark_reads(tmp_path, pool32):
     assert len(set(entries)) == pool.count
     assert all(len(t) == 16 and is_serpent_type(t) for t in entries)
     assert b"".join(entries) == pool.blob
-
