@@ -195,9 +195,9 @@ class SBoxPool:
 
     @property
     def entries(self) -> tuple:
-        """The tables as a tuple of 16-byte slices. Only the benchmark's
-        pool-gen workload reads this (len, set, iteration); the library
-        slices the blob."""
+        """The tables as a tuple of 16-byte slices. Only the benchmark
+        (perfbench's pool-gen workload and its tests) reads this, through
+        len, set and iteration; the library slices the blob."""
         return tuple(self.blob[i : i + 16] for i in range(0, len(self.blob), 16))
 
 
