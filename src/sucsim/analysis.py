@@ -263,8 +263,9 @@ def bound_report(
     diff_probs, lin_probs = [], []
     for i in range(count):
         stream = SeededEntropy(_subseed(seed, "bound", i))
-        starts = [16 * stream.draw_index(pool.count) for _ in range((feistel_r + 1) // 2)]
-        free = tuple(pool.blob[i : i + 16] for i in starts)
+        free = tuple(
+            pool.entry(stream.draw_index(pool.count)) for _ in range((feistel_r + 1) // 2)
+        )
         prof = profile8(feistel8(FeistelSpec(r=feistel_r, free=free)))
         diff_probs.append(prof.max_diff_prob)
         lin_probs.append(prof.max_lin_prob)

@@ -266,11 +266,7 @@ class UirStore:
             "pool_digest": record.params.pool_digest.hex(),
         }
         h = record.pair_bytes.hex()
-        if h:
-            # one rendered value, one join: records run to 1000s of rows
-            fields["pair"] = "\npair: ".join(
-                f"{h[i : i + 16]} {h[i + 16 : i + 32]}" for i in range(0, len(h), 32)
-            )
+        fields["pair"] = [f"{h[i : i + 16]} {h[i + 16 : i + 32]}" for i in range(0, len(h), 32)]
         records.write(self._path(record.serial), fields, replace=False)
 
     def mark_used(self, serial: str, index: int) -> None:

@@ -207,8 +207,7 @@ def draw_instance(
     per_box = (params.feistel_r + 1) // 2
 
     def draw_box() -> SBox8:
-        starts = [16 * entropy.draw_index(pool.count) for _ in range(per_box)]
-        free = tuple(pool.blob[i : i + 16] for i in starts)
+        free = tuple(pool.entry(entropy.draw_index(pool.count)) for _ in range(per_box))
         return feistel8(FeistelSpec(r=params.feistel_r, free=free))
 
     if replicate_single:

@@ -120,7 +120,7 @@ def cmd_build_sbox8(args) -> int:
     for idx in indices:
         if not 0 <= idx < pool.count:
             raise ValueError(f"free index {idx} outside pool of {pool.count}")
-    spec = FeistelSpec(r=args.r, free=tuple(pool.blob[16 * i : 16 * i + 16] for i in indices))
+    spec = FeistelSpec(r=args.r, free=tuple(pool.entry(i) for i in indices))
     box = feistel8(spec)
     with open(args.out, "w") as f:
         f.write(table8_to_hex(box) + "\n")

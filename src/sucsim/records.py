@@ -3,8 +3,8 @@
 Both files the package keeps on disk use this format: the device's
 `<serial>.envm` (sealed S-box tables) and the authority's `<serial>.uir`
 (challenge-response pairs). A record is ASCII text, one `key: value`
-line per field in a fixed order, every line ending in a newline and no
-blank lines. Byte fields are lowercase hex of an exact length and
+line per field (one per row of a repeated field) in a fixed order,
+every line ending in a newline and no blank lines. Byte fields are lowercase hex of an exact length and
 integers are plain decimal, so the content of a record has exactly one
 spelling and a changed byte cannot parse back to the same values.
 
@@ -25,10 +25,15 @@ SERIAL_RE = re.compile(r"\A[A-Za-z0-9][A-Za-z0-9_.-]{0,63}\Z")
 
 
 def write(path: str, fields: dict, *, replace: bool) -> None:
-    """Atomically write a `key: value` line per field, in dict order, to path:
-    over a file there if replace, else FileExistsError. A value may carry
-    further lines, already rendered as `key: value` lines."""
-    lines = [f"{key}: {value}" for key, value in fields.items()]
+    """Atomically write a `key: value` line per field, in dict order, to path
+    (a list value gives one line per row, none if empty): over a file there
+    if replace, else FileExistsError."""
+    lines = []
+    for key, value in fields.items():
+        if not isinstance(value, list):
+            lines.append(f"{key}: {value}")
+        elif value:  # one join, not one more format per row: records run to 1000s of rows
+            lines.append(f"{key}: " + f"\n{key}: ".join(value))
     tmp = f"{path}.{os.urandom(8).hex()}.tmp"  # concurrent writers never share one
     try:
         with open(tmp, "x", encoding="ascii") as f:

@@ -193,12 +193,16 @@ class SBoxPool:
         """SHA-256 over the concatenated 16-byte tables."""
         return hashlib.sha256(self.blob).digest()
 
+    def entry(self, i: int) -> bytes:
+        """Table i, the 16 bytes at blob[16i : 16i + 16]."""
+        return self.blob[16 * i : 16 * i + 16]
+
     @property
     def entries(self) -> tuple:
-        """The tables as a tuple of 16-byte slices. Only the benchmark
-        (perfbench's pool-gen workload and its tests) reads this, through
-        len, set and iteration; the library slices the blob."""
-        return tuple(self.blob[i : i + 16] for i in range(0, len(self.blob), 16))
+        """The tables as tuples of 16 ints, the form the benchmark (perfbench's
+        pool-gen workload and its tests) was written for and the only reader
+        of this view; the library reads `entry`."""
+        return tuple(tuple(self.entry(i)) for i in range(self.count))
 
 
 def build_pool(count: int, entropy: EntropySource) -> SBoxPool:

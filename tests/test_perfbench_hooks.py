@@ -7,6 +7,7 @@ benchmark runs.
 """
 
 import importlib
+import itertools
 import importlib.util
 import pathlib
 
@@ -106,4 +107,4 @@ def test_a_pool_offers_what_the_benchmark_reads(tmp_path, pool32):
     assert len(entries) == pool.count == 32
     assert len(set(entries)) == pool.count
     assert all(len(t) == 16 and is_serpent_type(t) for t in entries)
-    assert b"".join(entries) == pool.blob
+    assert bytes(itertools.chain.from_iterable(entries)) == pool.blob
