@@ -4,9 +4,10 @@ Both files the package keeps on disk use this format: the device's
 `<serial>.envm` (sealed S-box tables) and the authority's `<serial>.uir`
 (challenge-response pairs). A record is ASCII text, one `key: value`
 line per field (one per row of a repeated field) in a fixed order,
-every line ending in a newline and no blank lines. Byte fields are lowercase hex of an exact length and
-integers are plain decimal, so the content of a record has exactly one
-spelling and a changed byte cannot parse back to the same values.
+every line ending in a newline and no blank lines. Byte fields are
+lowercase hex of an exact length and integers are plain decimal, so the
+content of a record has exactly one spelling and a changed byte cannot
+parse back to the same values.
 
 Every malformed input raises ValueError; callers map it to their own
 error type. Files are written whole atomically (write a uniquely named
