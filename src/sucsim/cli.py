@@ -28,7 +28,6 @@ from .entropy import SeededEntropy, SystemEntropy
 from .errors import SucError
 from .sbox4 import (
     build_pool,
-    is_serpent_type,
     profile4,
     read_pool,
     table_from_hex,
@@ -96,8 +95,7 @@ def cmd_gen_pool(args) -> int:
 
 
 def cmd_profile(args) -> int:
-    table = table_from_hex(args.sbox)
-    p = profile4(table)
+    p = profile4(table_from_hex(args.sbox))
     _emit(
         args,
         {
@@ -105,7 +103,7 @@ def cmd_profile(args) -> int:
             "lin": p.lin,
             "diff": p.diff,
             "branch_min": p.branch_min,
-            "serpent_type": is_serpent_type(table),
+            "serpent_type": p.serpent_type,
         },
     )
     return 0
@@ -604,7 +602,13 @@ def main(argv=None) -> int:
         stream=sys.stderr,
     )
     try:
-        return args.fn(args)
+        rc = args.fn(args)
+        sys.stdout.flush()  # so a closed stdout fails here, not at exit
+        return rc
+    except BrokenPipeError:
+        # the reader is gone; stdout goes to devnull so the exit flush stays quiet
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except SucError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -132,13 +132,15 @@ class SeededEntropy(EntropySource):
     """Deterministic infinite stream: SHA-256 over a seed-keyed counter.
 
     The same seed always replays the identical byte sequence, independent
-    of platform and process. Accepts an int or a bytes seed.
+    of platform and process. The seed is bytes or an int in [0, 2**128).
     """
 
     def __init__(self, seed) -> None:
         super().__init__()
         if isinstance(seed, int):
-            seed = seed.to_bytes(16, "big", signed=False)
+            if not 0 <= seed < 1 << 128:
+                raise ValueError(f"an int seed must lie in [0, 2**128), got {seed}")
+            seed = seed.to_bytes(16, "big")
         self._key = bytes(seed)
         self._counter = 0
         self._buffer = b""

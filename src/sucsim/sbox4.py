@@ -3,17 +3,16 @@ the optimal class, and pool files.
 
 A 4-bit table is 16 bytes, one value in [0, 15] each. A pool is one blob
 of 16-byte tables, entry i at blob[16i : 16i + 16]; its file holds that
-blob between a header and its SHA-256.
+blob between a header and its SHA-256, and reading it profiles each entry.
 
 The target class is the Serpent-type optimal S-boxes: bijective 16-entry
 tables with linearity 8, differential resistance 4, and every one-bit
-input difference flipping at least two output bits. Plain rejection
-sampling is hopeless (about 2.2 million such tables among 16! = 2e13
-permutations), so generation runs a randomized depth-first construction
-that prunes partial assignments as soon as a difference-distribution
-count passes 4 or a completed one-bit pair violates the branch
-condition, and applies the full linearity test only to completed
-candidates.
+input difference flipping at least two output bits. `profile4` evaluates
+these definitions on the table's truth tables, and `SBoxProfile.serpent_type`
+states the rule. Plain rejection sampling is hopeless (about 2.2 million
+members among 16! = 2e13 permutations), so generation runs a randomized
+depth-first construction that prunes on difference counts and the branch
+condition and profiles only completed candidates.
 """
 
 from __future__ import annotations
@@ -60,49 +59,39 @@ class SBoxProfile:
     diff: int
     branch_min: int
 
+    @property
+    def serpent_type(self) -> bool:
+        """The class rule: bijective with lin 8, diff 4 and branch_min >= 2."""
+        return self.bijective and self.lin == 8 and self.diff == 4 and self.branch_min >= 2
 
-def _walsh_max_4(table) -> int:
-    # One length-16 Walsh-Hadamard transform per output mask b. The
-    # transform of (-1)^{b.S(x)} evaluates all input masks a at once.
-    best = 0
-    for b in range(1, 16):
-        w = [1 - 2 * ((b & table[x]).bit_count() & 1) for x in range(16)]
-        h = 1
-        while h < 16:
-            for i in range(0, 16, 2 * h):
-                for j in range(i, i + h):
-                    u, v = w[j], w[j + h]
-                    w[j], w[j + h] = u + v, u - v
-            h *= 2
-        m = max(abs(v) for v in w)
-        if m > best:
-            best = m
-    return best
+
+# _XOR_BY[a] lists x ^ a for x = 0..15, so _XOR_BY[a].translate(S) is S(x ^ a).
+# _PARITY[b] maps v to the digit of b.v, so int(S.translate(_PARITY[b]), 2) is
+# the 16-bit truth table of x -> b.S(x); _LINEAR holds those of x -> a.x.
+_XOR_BY = tuple(bytes(x ^ a for x in range(16)) for a in range(16))
+_PARITY = tuple(bytes(b"01"[(b & v).bit_count() & 1] for v in range(256)) for b in range(16))
+_LINEAR = tuple(int(bytes(range(16)).translate(p), 2) for p in _PARITY)
 
 
 def profile4(table) -> SBoxProfile:
-    """Exhaustively profile a 16-entry table (all masks, all differences)."""
-    t = list(check_table4(table))  # the loops below index a list faster than bytes
-    bijective = len(set(t)) == 16
-
-    ddt = [[0] * 16 for _ in range(16)]
-    for a in range(16):
-        for x in range(16):
-            ddt[a][t[x] ^ t[x ^ a]] += 1
-    diff = max(max(row) for row in ddt[1:])
-
-    lin = _walsh_max_4(t)
-
-    branch_min = min(
-        (t[x] ^ t[x ^ a]).bit_count() for a in (1, 2, 4, 8) for x in range(16)
-    )
-    return SBoxProfile(bijective=bijective, lin=lin, diff=diff, branch_min=branch_min)
+    """Exhaustively profile a 16-entry table, straight from the definitions:
+    diff and branch_min count over the difference rows S(x) ^ S(x ^ a), and
+    the Walsh sum at masks (a, b) is 16 - 2 wt(c_b ^ l_a) for the truth
+    tables c_b of the component b.S and l_a of the linear function a.x."""
+    t = check_table4(table)
+    s, ti = t.ljust(256, b"\0"), int.from_bytes(t, "big")
+    rows = [(ti ^ int.from_bytes(x.translate(s), "big")).to_bytes(16, "big")
+            for x in _XOR_BY[1:]]  # rows[a - 1] is S(x) ^ S(x ^ a)
+    diff = max([max(map(row.count, set(row))) for row in rows])
+    branch_min = min([min(map(int.bit_count, rows[a - 1])) for a in (1, 2, 4, 8)])
+    components = [int(t.translate(p), 2) for p in _PARITY[1:]]
+    lin = max([abs(16 - 2 * (c ^ l).bit_count()) for c in components for l in _LINEAR])
+    return SBoxProfile(bijective=len(set(t)) == 16, lin=lin, diff=diff, branch_min=branch_min)
 
 
 def is_serpent_type(table) -> bool:
-    """True iff bijective with lin 8, diff 4, and branch condition >= 2."""
-    p = profile4(table)
-    return p.bijective and p.lin == 8 and p.diff == 4 and p.branch_min >= 2
+    """True iff the table is a member of the Serpent-type class."""
+    return profile4(table).serpent_type
 
 
 # _NEAR[t]: bitmask of the values v with v ^ t of weight < 2. A one-bit
@@ -230,9 +219,10 @@ def write_pool(pool: SBoxPool, path) -> None:
 
 
 def read_pool(path) -> SBoxPool:
-    """The pool in the file at path; PoolFormatError unless the header,
-    length and digest check out, it has an entry, and every value is a
-    nibble. The body is read straight into the pool's blob."""
+    """The pool in the file at path, its body read straight into the blob;
+    PoolFormatError unless the header, length and digest check out, it has
+    an entry, every value is a nibble, and the entries are distinct
+    Serpent-type tables (each one profiled once)."""
     start = _HEADER.size + _COUNT.size
     with open(path, "rb") as f:
         size = os.fstat(f.fileno()).st_size
@@ -255,7 +245,15 @@ def read_pool(path) -> SBoxPool:
         raise PoolFormatError("content digest mismatch")
     if _NOT_NIBBLE.search(body):  # one scan, and no copy of the body
         raise PoolFormatError("pool entry value outside [0, 15]")
-    return SBoxPool(blob=body)
+    pool, seen = SBoxPool(blob=body), set()
+    for i in range(count):
+        entry = pool.entry(i)
+        if entry in seen:
+            raise PoolFormatError(f"pool entry {i} repeats an earlier entry")
+        if not is_serpent_type(entry):
+            raise PoolFormatError(f"pool entry {i} is not a Serpent-type table")
+        seen.add(entry)
+    return pool
 
 
 def table_to_hex(table) -> str:

@@ -17,7 +17,14 @@ import pytest
 
 from sucsim import cli, device, netlink
 from sucsim.entropy import SeededEntropy
-from sucsim.sbox4 import POOL_MAGIC, POOL_VERSION, is_serpent_type, read_pool, write_pool
+from sucsim.sbox4 import (
+    POOL_MAGIC,
+    POOL_VERSION,
+    SBoxPool,
+    is_serpent_type,
+    read_pool,
+    write_pool,
+)
 from sucsim.sbox8 import profile8, table8_from_hex
 
 SERPENT_S0_HEX = "38f1a65bed42709c"
@@ -290,6 +297,17 @@ def test_personalize_refuses_an_empty_pool_before_making_a_device(capsys, tmp_pa
     assert not os.path.exists(tmp_path / "d")
 
 
+def test_personalize_refuses_a_pool_outside_the_class(capsys, tmp_path):
+    # the all-zero table and the identity, written with a correct digest
+    pool_file = str(tmp_path / "weak.pool")
+    write_pool(SBoxPool(blob=bytes(16) + bytes(range(16))), pool_file)
+    rc, out, err = run(capsys, "personalize", "--device", str(tmp_path / "d" / "dev01"),
+                       "--pool", pool_file, "--seed", "0")
+    assert (rc, out) == (1, "")
+    assert err.startswith("error: ") and "not a Serpent-type" in err
+    assert not os.path.exists(tmp_path / "d")
+
+
 def test_personalize_twice_fails(capsys, tmp_path, pool32_file):
     prefix = str(tmp_path / "dev2")
     rc, _, _ = run(capsys, "personalize", "--device", prefix,
@@ -463,6 +481,24 @@ def test_bound_report_csv_output(capsys, tmp_path, pool32_file):
     assert sidecar["count"] == 4
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["profile", "--sbox", SERPENT_S0_HEX], ["cardinality", "--r", "3", "--set-size", "256"]],
+)
+def test_a_closed_stdout_exits_one_without_a_traceback(argv):
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "sucsim.cli", *argv],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        text=True,
+    )
+    proc.stdout.close()  # the reader is gone before the command prints
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=30) == 1
+    assert "Traceback" not in err
+
+
 def test_importing_the_cli_loads_no_scipy():
     # the chi-square fit is closed-form, so no command pays scipy's import
     code = "import sys, sucsim.cli; print('scipy' in sys.modules)"
@@ -516,6 +552,10 @@ def _spawn_service(uir_dir, enroll_pairs):
             ["agent", "--device", "nowhere/dev01", "--connect", "127.0.0.1:1",
              "--timeout", t]
             for t in ("0", "-1", "nan", "inf")
+        ),
+        *(
+            ["gen-pool", "--count", "1", "--out", "nowhere/x.pool", "--seed", seed]
+            for seed in ("-1", str(2**128))
         ),
     ],
 )

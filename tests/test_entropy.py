@@ -26,6 +26,12 @@ def test_seeded_int_seed_matches_bytes_seed():
     assert a.read(64) == b.read(64)
 
 
+@pytest.mark.parametrize("seed", [-1, 2**128], ids=["negative", "2**128"])
+def test_seeded_int_seed_outside_128_bits_is_refused(seed):
+    with pytest.raises(ValueError, match="seed"):
+        SeededEntropy(seed)
+
+
 def test_seeded_streams_differ_across_seeds():
     assert SeededEntropy(1).read(32) != SeededEntropy(2).read(32)
 

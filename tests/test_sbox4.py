@@ -1,15 +1,18 @@
 """4-bit S-box profiling and class sampling.
 
-The reference implementations below recompute every statistic straight
-from its definition (mask sums for the Walsh spectrum, a dictionary of
-difference counts, bit counting for the branch condition). profile4 uses
-a transform-based path, so agreement between the two is a meaningful
-check rather than a tautology.
+The reference implementations below recompute every statistic entry by
+entry (a signed sum over x for each mask pair, a dictionary of difference
+counts, bit counting for the branch condition). profile4 works on whole
+truth tables and difference rows at once (translates, big-int XORs and
+popcounts), so agreement between the two is a meaningful check rather
+than a tautology.
 """
 
 import hashlib
 import random
 import struct
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -87,20 +90,23 @@ def test_profile_identity_table():
 
 
 def test_profile_constant_table():
-    const = (0,) * 16
-    p = profile4(const)
-    assert not p.bijective
-    assert p.lin == ref_walsh_max(const) == 16
-    assert p.diff == ref_diff_max(const) == 16
-    assert p.branch_min == 0
+    for v in range(16):
+        const = (v,) * 16
+        p = profile4(const)
+        assert not p.bijective
+        assert p.lin == ref_walsh_max(const) == 16
+        assert p.diff == ref_diff_max(const) == 16
+        assert p.branch_min == ref_branch_min(const) == 0
 
 
-def test_profile_matches_reference_on_random_permutations():
+def test_profile_matches_reference_on_random_permutations(pool32):
     rng = random.Random(1234)
+    tables = []
     for _ in range(300):
         t = list(range(16))
         rng.shuffle(t)
-        t = tuple(t)
+        tables.append(tuple(t))
+    for t in tables + list(pool32.entries):
         p = profile4(t)
         assert p.bijective
         assert p.lin == ref_walsh_max(t)
@@ -115,6 +121,7 @@ def test_profile_matches_reference_on_random_functions():
         p = profile4(t)
         assert p.lin == ref_walsh_max(t)
         assert p.diff == ref_diff_max(t)
+        assert p.branch_min == ref_branch_min(t)
 
 
 def test_known_member_profile():
@@ -123,6 +130,16 @@ def test_known_member_profile():
     assert is_serpent_type(s0)
     p = profile4(s0)
     assert (p.lin, p.diff, p.branch_min) == (8, 4, 2)
+    assert p.serpent_type
+
+
+def test_importing_sbox4_loads_no_numpy():
+    # pool generation imports only sbox4; numpy would add to its start-up
+    code = "import sys, sucsim.sbox4; print('numpy' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "False"
 
 
 def test_check_table4_rejects_bad_shapes():
@@ -356,6 +373,22 @@ def test_pool_file_rejects_a_value_outside_a_nibble(tmp_path, pool32, value):
     body[-1] = value  # last value of the last table; the digest is recomputed
     path = raw_pool_file(tmp_path / "bad.pool", bytes(body))
     with pytest.raises(PoolFormatError, match="outside"):
+        read_pool(path)
+
+
+def test_pool_file_rejects_a_table_outside_the_class(tmp_path):
+    # nibbles and digest are right, but neither table is Serpent-type
+    body = bytes(16) + bytes(range(16))
+    path = raw_pool_file(tmp_path / "weak.pool", body)
+    with pytest.raises(PoolFormatError, match="entry 0 is not a Serpent-type"):
+        read_pool(path)
+
+
+def test_pool_file_rejects_a_repeated_entry(tmp_path, pool32):
+    body = bytearray(pool32.blob)
+    body[16 * 9 : 16 * 10] = pool32.entry(5)
+    path = raw_pool_file(tmp_path / "repeat.pool", bytes(body))
+    with pytest.raises(PoolFormatError, match="entry 9 repeats"):
         read_pool(path)
 
 
