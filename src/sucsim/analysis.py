@@ -17,11 +17,9 @@ for a given seed regardless of batch size or host.
 
 from __future__ import annotations
 
-import csv
 import hashlib
-import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -116,17 +114,20 @@ def avalanche_histogram(cfg: AvalancheConfig, pool: SBoxPool) -> AvalancheResult
     return AvalancheResult(config=cfg, counts=counts)
 
 
+GOF_SIGNIFICANCE = 0.01
+GOF_MIN_EXPECTED = 5.0  # tail bins pool inward until each expects this many
+
+
 @dataclass(frozen=True)
 class GofResult:
     statistic: float
     dof: int
     p_value: float
-    significance: float
 
     @property
     def rejected(self) -> bool:
         # a nan p-value is rejected, not passed
-        return not self.p_value >= self.significance
+        return not self.p_value >= GOF_SIGNIFICANCE
 
 
 # Binomial(64, 1/2) pmf, exact up to the final rounding to float
@@ -163,9 +164,7 @@ def chi2_sf(x: float, dof: int) -> float:
     return min(head + math.fsum(math.exp(e) for e in exponents), 1.0)
 
 
-def chi_square_binomial(
-    counts: np.ndarray, significance: float = 0.01, min_expected: float = 5.0
-) -> GofResult:
+def chi_square_binomial(counts: np.ndarray) -> GofResult:
     """Goodness of fit against Binomial(64, 1/2), pooling sparse tail bins.
 
     Raises ValueError when fewer than two bins remain after pooling (an
@@ -175,61 +174,38 @@ def chi_square_binomial(
     total = obs.sum()
     exp = total * _BINOM64_PMF
 
-    # pool from each tail inward until every bin expects >= min_expected
+    # pool from each tail inward
     lo, hi = 0, 64
-    while lo < hi and exp[lo] < min_expected:
+    while lo < hi and exp[lo] < GOF_MIN_EXPECTED:
         exp[lo + 1] += exp[lo]
         obs[lo + 1] += obs[lo]
         lo += 1
-    while hi > lo and exp[hi] < min_expected:
+    while hi > lo and exp[hi] < GOF_MIN_EXPECTED:
         exp[hi - 1] += exp[hi]
         obs[hi - 1] += obs[hi]
         hi -= 1
     if hi == lo:
         raise ValueError(
             f"{total:g} samples pool into one bin; a chi-square fit needs "
-            f"at least two bins expecting >= {min_expected:g}"
+            f"at least two bins expecting >= {GOF_MIN_EXPECTED:g}"
         )
     obs = obs[lo : hi + 1]
     exp = exp[lo : hi + 1]
     stat = float(((obs - exp) ** 2 / exp).sum())
     dof = int(len(obs)) - 1
-    return GofResult(
-        statistic=stat,
-        dof=dof,
-        p_value=chi2_sf(stat, dof),
-        significance=significance,
-    )
-
-
-@dataclass
-class RoundsRow:
-    rounds: int
-    min: int
-    mean: float
-    max: int
-    stddev: float
+    return GofResult(statistic=stat, dof=dof, p_value=chi2_sf(stat, dof))
 
 
 def avalanche_vs_rounds(
     cfg: AvalancheConfig, pool: SBoxPool, rounds_from: int = 1, rounds_to: int = 32
 ) -> list:
-    """Sweep the round count; one histogram summary row per round."""
+    """Sweep the round count; one histogram result per round."""
     if rounds_to < rounds_from:
         raise ValueError("empty rounds range")
-    rows = []
-    for r in range(rounds_from, rounds_to + 1):
-        res = avalanche_histogram(replace(cfg, rounds=r), pool)
-        rows.append(
-            RoundsRow(
-                rounds=r,
-                min=res.min_distance,
-                mean=res.mean,
-                max=res.max_distance,
-                stddev=res.stddev,
-            )
-        )
-    return rows
+    return [
+        avalanche_histogram(replace(cfg, rounds=r), pool)
+        for r in range(rounds_from, rounds_to + 1)
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -424,51 +400,3 @@ def hardware_latency_anchor(
     if freq_mhz <= 0:
         raise ValueError("frequency must be positive")
     return consts.cipher_cycles / freq_mhz
-
-
-# ---------------------------------------------------------------------------
-# output files
-
-def write_histogram_csv(result: AvalancheResult, path) -> None:
-    with open(path, "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(["hamming_distance", "count"])
-        for d in range(65):
-            w.writerow([d, int(result.counts[d])])
-
-
-def write_bound_csv(report: BoundReport, path) -> None:
-    with open(path, "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(["index", "max_diff_prob", "max_lin_prob"])
-        for i, (d, l) in enumerate(zip(report.diff_probs, report.lin_probs)):
-            w.writerow([i, d, l])
-
-
-def write_rounds_csv(rows, path) -> None:
-    with open(path, "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(["rounds", "min", "mean", "max", "stddev"])
-        for row in rows:
-            w.writerow(
-                [row.rounds, row.min, f"{row.mean:.6f}", row.max, f"{row.stddev:.6f}"]
-            )
-
-
-def write_grid_csv(rows, path) -> None:
-    with open(path, "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(["r", "set_size", "total_ms"])
-        for r, s, ms in rows:
-            w.writerow([r, s, f"{ms:.6f}"])
-
-
-def sidecar_path(csv_path) -> str:
-    s = str(csv_path)
-    return (s[: -len(".csv")] if s.endswith(".csv") else s) + ".json"
-
-
-def write_summary_json(payload: dict, path) -> None:
-    with open(path, "w") as f:
-        json.dump(payload, f, indent=2, sort_keys=True)
-        f.write("\n")

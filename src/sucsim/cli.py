@@ -1,17 +1,25 @@
 """Command-line entry point.
 
-One executable, subcommand per workflow. Machine-readable results go to
-stdout (plain key: value lines, or JSON/CSV under --format), diagnostics
-to stderr. Exit codes: 0 success, 1 operational failure (rejected
-authentication, integrity or lifecycle errors), 2 usage errors.
+One executable, subcommand per workflow. Results go to stdout and
+diagnostics to stderr. Exit codes: 0 success, 1 operational failure
+(rejected authentication, integrity or lifecycle errors), 2 usage errors.
+
+Every result is a record or a table, and `--format` picks its encoding.
+A record prints as `key: value` lines under plain, one CSV header and
+row under csv, and a JSON object under json. A table prints as CSV under
+plain and csv, and as a JSON list of objects under json. JSON keys are
+sorted. One CSV writer serves stdout and every `--out` file: a cell is
+str(value) and every line ends in a newline. Each `--out` CSV file gets
+a `.json` sidecar that names it and holds the run's summary.
 
 Devices are addressed by a path prefix: --device out/dev01 names the
-pair out/dev01.silicon and out/dev01.envm.
+pair out/dev01.silicon and out/dev01.envm, and its serial dev01.
 """
 
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import logging
 import os
@@ -70,18 +78,54 @@ def _parse_listen(text: str):
     return host, int(port)
 
 
+def _boot(args):
+    """Boot the --device. One that cannot boot is reported on stderr and
+    comes back with nothing loaded, so every challenge to it fails."""
+    directory, serial = _device_ref(args.device)
+    try:
+        return device.boot(directory, serial)
+    except SucError as exc:
+        print(f"boot failed: {exc}", file=sys.stderr)
+        return device.DeviceState(serial, b"", device.Envm())
+
+
+def _json(value) -> str:
+    return json.dumps(value, indent=2, sort_keys=True)
+
+
+def _write_csv(f, columns, rows) -> None:
+    """A header line, then one line per row."""
+    w = csv.writer(f, lineterminator="\n")
+    w.writerow(columns)
+    w.writerows(rows)
+
+
 def _emit(args, payload: dict) -> None:
-    """Print payload as JSON (sorted keys), or in insertion order as one
-    CSV header and row, or as `key: value` lines."""
+    """Print one record: JSON, one CSV header and row, or `key: value` lines."""
     if args.format == "json":
-        print(json.dumps(payload, indent=2, sort_keys=True))
-        return
-    if args.format == "csv":
-        print(",".join(str(k) for k in payload))
-        print(",".join(str(v) for v in payload.values()))
-        return
-    for k, v in payload.items():
-        print(f"{k}: {v}")
+        print(_json(payload))
+    elif args.format == "csv":
+        _write_csv(sys.stdout, payload, [payload.values()])
+    else:
+        for k, v in payload.items():
+            print(f"{k}: {v}")
+
+
+def _emit_table(args, columns, rows) -> None:
+    """Print rows as a JSON list of objects, or as CSV."""
+    if args.format == "json":
+        print(_json([dict(zip(columns, row)) for row in rows]))
+    else:
+        _write_csv(sys.stdout, columns, rows)
+
+
+def _save_table(path, columns, rows, summary: dict) -> None:
+    """Write rows to the CSV file at path, and summary with the file's name
+    to the sidecar beside it: path less any `.csv`, plus `.json`."""
+    with open(path, "w", newline="") as f:
+        _write_csv(f, columns, rows)
+    with open(str(path).removesuffix(".csv") + ".json", "w") as f:
+        f.write(_json({**summary, "csv": str(path)}) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -219,8 +263,6 @@ def cmd_tamper(args) -> int:
 
 def cmd_enroll(args) -> int:
     directory, serial = _device_ref(args.device)
-    if serial != args.sn:
-        raise ValueError(f"--sn {args.sn!r} does not match device {serial!r}")
     dev = device.boot(directory, serial)
     store = authority.UirStore(args.uir)
     channel = authority.LocalDeviceChannel(dev)
@@ -240,39 +282,17 @@ def cmd_enroll(args) -> int:
 
 
 def cmd_authenticate(args) -> int:
-    directory, serial = _device_ref(args.device)
-    if serial != args.sn:
-        raise ValueError(f"--sn {args.sn!r} does not match device {serial!r}")
-    try:
-        dev = device.boot(directory, serial)
-    except SucError as exc:
-        print(f"boot failed: {exc}", file=sys.stderr)
-        dev = device.DeviceState(serial, b"", device.Envm())  # nothing loaded
     store = authority.UirStore(args.uir)
     result = authority.authenticate(
-        authority.LocalDeviceChannel(dev), store, inverse=args.inverse
+        authority.LocalDeviceChannel(_boot(args)), store, inverse=args.inverse
     )
     print(result.value)
     return 0 if result is authority.AuthResult.ACCEPTED else 1
 
 
 def cmd_uir_stats(args) -> int:
-    store = authority.UirStore(args.uir)
-    rows = store.stats()
-    if args.format == "json":
-        print(
-            json.dumps(
-                [
-                    {"serial": s, "pairs": t, "used": u, "unused": n}
-                    for s, t, u, n in rows
-                ],
-                indent=2,
-            )
-        )
-    else:
-        print("serial,pairs,used,unused")
-        for s, t, u, n in rows:
-            print(f"{s},{t},{u},{n}")
+    rows = authority.UirStore(args.uir).stats()
+    _emit_table(args, ["serial", "pairs", "used", "unused"], rows)
     return 0
 
 
@@ -293,12 +313,7 @@ def cmd_serve_ta(args) -> int:
 def cmd_agent(args) -> int:
     address = _parse_listen(args.connect)
     netlink.check_timeout(args.timeout)
-    directory, serial = _device_ref(args.device)
-    try:
-        dev = device.boot(directory, serial)
-    except SucError as exc:
-        print(f"boot failed: {exc}", file=sys.stderr)
-        dev = device.load_device(directory, serial)  # loaded stays None
+    dev = _boot(args)
     failures = 0
     for _ in range(args.repeat):
         outcome = netlink.run_agent(dev, address, timeout=args.timeout)
@@ -326,7 +341,6 @@ def cmd_avalanche(args) -> int:
     )
     result = analysis.avalanche_histogram(cfg, pool)
     gof = analysis.chi_square_binomial(result.counts)
-    analysis.write_histogram_csv(result, args.out)
     summary = {
         "suc_count": cfg.suc_count,
         "trials_per_suc": cfg.trials_per_suc,
@@ -341,9 +355,10 @@ def cmd_avalanche(args) -> int:
         "chi2_dof": gof.dof,
         "chi2_p_value": gof.p_value,
         "chi2_rejected": gof.rejected,
-        "csv": str(args.out),
     }
-    analysis.write_summary_json(summary, analysis.sidecar_path(args.out))
+    _save_table(
+        args.out, ["hamming_distance", "count"], enumerate(result.counts.tolist()), summary
+    )
     _emit(
         args,
         {
@@ -366,20 +381,19 @@ def cmd_avalanche_rounds(args) -> int:
         sbox_mode=args.sbox_mode,
         seed=_seed(args),
     )
-    rows = analysis.avalanche_vs_rounds(cfg, pool, args.rounds_from, args.rounds_to)
+    results = analysis.avalanche_vs_rounds(cfg, pool, args.rounds_from, args.rounds_to)
+    columns = ["rounds", "min", "mean", "max", "stddev"]
+    rows = [
+        (r.config.rounds, r.min_distance, r.mean, r.max_distance, r.stddev)
+        for r in results
+    ]
     if args.out:
-        analysis.write_rounds_csv(rows, args.out)
-        analysis.write_summary_json(
-            {
-                "rounds": [row.rounds for row in rows],
-                "means": [row.mean for row in rows],
-                "csv": str(args.out),
-            },
-            analysis.sidecar_path(args.out),
-        )
-    print("rounds,min,mean,max,stddev")
-    for row in rows:
-        print(f"{row.rounds},{row.min},{row.mean:.6f},{row.max},{row.stddev:.6f}")
+        summary = {
+            "rounds": [r.config.rounds for r in results],
+            "means": [r.mean for r in results],
+        }
+        _save_table(args.out, columns, rows, summary)
+    _emit_table(args, columns, rows)
     return 0
 
 
@@ -389,11 +403,10 @@ def cmd_cost_model(args) -> int:
         r_values = list(range(3, 16, 2))
         set_sizes = [2 ** e for e in range(8, 22)]
         rows = analysis.otpp_grid(r_values, set_sizes, consts)
+        columns = ["r", "set_size", "total_ms"]
         if args.out:
-            analysis.write_grid_csv(rows, args.out)
-        print("r,set_size,total_ms")
-        for r, s, ms in rows:
-            print(f"{r},{s},{ms:.6f}")
+            _save_table(args.out, columns, rows, {"r": r_values, "set_size": set_sizes})
+        _emit_table(args, columns, rows)
         return 0
     cost = analysis.tau_otpp(args.r, args.set_size, consts)
     reinit = analysis.reinit_time(consts)
@@ -442,8 +455,8 @@ def cmd_bound_report(args) -> int:
         "frac_lin_exceeding": report.frac_lin_exceeding,
     }
     if args.out:
-        analysis.write_bound_csv(report, args.out)
-        analysis.write_summary_json(summary, analysis.sidecar_path(args.out))
+        rows = zip(range(report.count), report.diff_probs, report.lin_probs)
+        _save_table(args.out, ["index", "max_diff_prob", "max_lin_prob"], rows, summary)
     _emit(args, summary)
     return 0
 
@@ -515,14 +528,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_tamper)
 
     p = sub.add_parser("enroll", parents=[common], help="record challenge-response pairs")
-    p.add_argument("--sn", required=True)
     p.add_argument("--pairs", type=int, required=True)
     p.add_argument("--device", required=True, metavar="PREFIX")
     p.add_argument("--uir", required=True, metavar="DIR")
     p.set_defaults(fn=cmd_enroll)
 
     p = sub.add_parser("authenticate", parents=[common], help="consume one pair")
-    p.add_argument("--sn", required=True)
     p.add_argument("--device", required=True, metavar="PREFIX")
     p.add_argument("--uir", required=True, metavar="DIR")
     p.add_argument("--inverse", action="store_true", help="send the response, expect the challenge")

@@ -31,7 +31,7 @@ import socketserver
 import struct
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from . import authority, records
 from .authority import AuthResult, UirStore
@@ -341,7 +341,6 @@ class AgentOutcome:
     result: AuthResult | None = None
     error: str | None = None
     answered: int = 0
-    elapsed: float = field(default=0.0)
 
     @property
     def ok(self) -> bool:
@@ -359,7 +358,6 @@ def run_agent(dev, address: tuple, timeout: float = 10.0) -> AgentOutcome:
     """
     check_timeout(timeout)
     outcome = AgentOutcome(serial=dev.serial)
-    started = time.perf_counter()
     with socket.create_connection(address, timeout=timeout) as sock:
         sock.settimeout(timeout)
         channel = FrameChannel(sock)
@@ -401,5 +399,4 @@ def run_agent(dev, address: tuple, timeout: float = 10.0) -> AgentOutcome:
                 break
             else:
                 raise ProtocolError(f"unexpected {frame.kind.name} frame")
-    outcome.elapsed = time.perf_counter() - started
     return outcome

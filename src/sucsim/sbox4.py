@@ -32,6 +32,9 @@ _HEADER = struct.Struct(">8sH6x")  # magic, version, reserved
 _COUNT = struct.Struct(">I")
 _NOT_NIBBLE = re.compile(rb"[^\x00-\x0f]")
 
+# members of the Serpent-type class (Leander & Poschmann, 2007)
+CLASS_SIZE = 2_211_840
+
 
 def check_table4(table) -> bytes:
     """Validate a 16-entry table of values in [0, 15]; returns it as bytes."""
@@ -196,8 +199,8 @@ class SBoxPool:
 
 def build_pool(count: int, entropy: EntropySource) -> SBoxPool:
     """Generate `count` pairwise-distinct Serpent-type S-boxes."""
-    if count < 1:
-        raise ValueError("count must be >= 1")
+    if not 1 <= count <= CLASS_SIZE:
+        raise ValueError(f"count must be in 1..{CLASS_SIZE}, the class size")
     entries = {}  # distinct tables in draw order
     attempts = 0
     limit = 4 * count + 100  # duplicates are astronomically rare

@@ -11,6 +11,7 @@ import hashlib
 import random
 import time
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -119,10 +120,10 @@ def test_avalanche_saturates_with_rounds(pool256):
     [31.5, 32.5] for every R >= 5."""
     cfg = analysis.AvalancheConfig(suc_count=30, trials_per_suc=30, feistel_r=3, seed=0)
     rows = analysis.avalanche_vs_rounds(cfg, pool256, 1, 32)
-    assert [row.rounds for row in rows] == list(range(1, 33))
+    assert [row.config.rounds for row in rows] == list(range(1, 33))
     assert rows[0].mean < 9.0, f"R=1 mean {rows[0].mean:.3f}"
     for row in rows[4:]:
-        assert 31.5 <= row.mean <= 32.5, f"R={row.rounds} mean {row.mean:.3f}"
+        assert 31.5 <= row.mean <= 32.5, f"R={row.config.rounds} mean {row.mean:.3f}"
 
 
 # 6 -------------------------------------------------------------------------
@@ -178,7 +179,7 @@ def test_lifecycle_property_suite(tmp_path, pool256):
 
     # any single corrupted byte bricks the next boot: 1000 randomized trials
     path = device.envm_path(directory, "acc01")
-    pristine = open(path, "rb").read()
+    pristine = Path(path).read_bytes()
     rng = random.Random(0xACCE)
     try:
         for _ in range(1000):

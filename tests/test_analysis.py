@@ -7,7 +7,6 @@ checked against their defining arithmetic, not against themselves.
 """
 
 import hashlib
-import json
 import math
 from dataclasses import replace
 
@@ -26,15 +25,10 @@ from sucsim.analysis import (
     kappa_trng,
     otpp_grid,
     reinit_time,
-    sidecar_path,
     tau_otpp,
     tau_otpp_aggregate_ms,
     tau_trng_ms,
     bound_report,
-    write_grid_csv,
-    write_histogram_csv,
-    write_rounds_csv,
-    write_summary_json,
 )
 from sucsim.analysis import SBOX_MODES
 from sucsim.cipher import SucInstance, SucParams, apply, draw_instance
@@ -205,7 +199,7 @@ def test_gof_refuses_a_histogram_that_pools_to_one_bin(counts):
 
 
 def test_gof_counts_a_nan_p_value_as_rejected():
-    assert analysis.GofResult(math.nan, 1, math.nan, 0.01).rejected
+    assert analysis.GofResult(math.nan, 1, math.nan).rejected
 
 
 def test_gof_pools_sparse_tails():
@@ -225,7 +219,7 @@ def test_gof_pools_sparse_tails():
 def test_rounds_sweep_shows_diffusion_building(pool32):
     cfg = AvalancheConfig(suc_count=6, trials_per_suc=8, seed=0)
     rows = avalanche_vs_rounds(cfg, pool32, 1, 4)
-    assert [r.rounds for r in rows] == [1, 2, 3, 4]
+    assert [r.config.rounds for r in rows] == [1, 2, 3, 4]
     assert rows[0].mean < 10
     assert rows[-1].mean > 28
     assert rows[0].mean < rows[1].mean < rows[2].mean
@@ -315,32 +309,3 @@ def test_hardware_latency_anchors():
     assert hardware_latency_anchor(100) == pytest.approx(1.44, abs=1e-12)
     with pytest.raises(ValueError):
         hardware_latency_anchor(0)
-
-
-# ---------------------------------------------------------------------------
-# files
-
-def test_csv_and_sidecar_outputs(tmp_path, pool32):
-    res = avalanche_histogram(small_cfg(), pool32)
-    csv = tmp_path / "hist.csv"
-    write_histogram_csv(res, csv)
-    lines = csv.read_text().strip().split("\n")
-    assert lines[0] == "hamming_distance,count"
-    assert len(lines) == 66
-    assert sum(int(ln.split(",")[1]) for ln in lines[1:]) == res.total
-
-    rows = avalanche_vs_rounds(
-        AvalancheConfig(suc_count=3, trials_per_suc=4, seed=0), pool32, 1, 2
-    )
-    rcsv = tmp_path / "rounds.csv"
-    write_rounds_csv(rows, rcsv)
-    assert rcsv.read_text().startswith("rounds,min,mean,max,stddev")
-
-    gcsv = tmp_path / "grid.csv"
-    write_grid_csv(otpp_grid([3], [256]), gcsv)
-    assert gcsv.read_text().startswith("r,set_size,total_ms")
-
-    assert sidecar_path(csv) == str(tmp_path / "hist.json")
-    jpath = tmp_path / "s.json"
-    write_summary_json({"a": 1.5}, jpath)
-    assert json.loads(jpath.read_text()) == {"a": 1.5}

@@ -16,6 +16,7 @@ import subprocess
 import sys
 import threading
 import time
+from pathlib import Path
 
 import pytest
 
@@ -505,7 +506,7 @@ def test_a_bad_pair_row_deep_in_a_record_fails_closed(tmp_path, row):
     store = UirStore(tmp_path / "uir")
     store.create(enroll(FnChannel("s", lambda b: b), 1024, SeededEntropy(0)))
     path = store._path("s")
-    lines = open(path).read().split("\n")
+    lines = Path(path).read_text().split("\n")
     assert len(store.load("s").pairs) == 1024
     lines[5 + 700] = row  # after the five header lines
     with open(path, "w") as f:
@@ -565,7 +566,7 @@ def test_store_pair_lines_are_strict(tmp_path):
     record = enroll(FnChannel("s", lambda b: b), 2, SeededEntropy(0))
     store.create(record)
     path = store._path("s")
-    text = open(path).read()
+    text = Path(path).read_text()
     # a pair line that fails the canonical-hex pattern must be an error,
     # not silently reinterpreted as a header field
     with open(path, "w") as f:

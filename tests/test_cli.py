@@ -5,7 +5,10 @@ exit codes are returned, not raised. The one exception is serve-ta,
 which blocks forever by design and therefore runs as a subprocess.
 """
 
+import contextlib
+import csv
 import hashlib
+import io
 import json
 import os
 import struct
@@ -225,7 +228,7 @@ def test_profile8_reads_raw_bytes(capsys, tmp_path, pool32_file):
     table_file = str(tmp_path / "box.hex")
     run(capsys, "build-sbox8", "--r", "1", "--free", "2", "--pool", pool32_file,
         "--out", table_file)
-    hex_text = open(table_file).read()
+    hex_text = (tmp_path / "box.hex").read_text()
     box = table8_from_hex(hex_text)
     raw_file = tmp_path / "box.bin"
     raw_file.write_bytes(box.table)
@@ -354,8 +357,8 @@ def enrolled_device(capsys, tmp_path, pool_file, pairs=3, name="dev01"):
     uir = str(tmp_path / "uir")
     run(capsys, "personalize", "--device", prefix, "--pool", pool_file,
         "--seed", "5")
-    rc, out, _ = run(capsys, "enroll", "--sn", name, "--pairs", str(pairs),
-                     "--device", prefix, "--uir", uir, "--seed", "6")
+    rc, out, _ = run(capsys, "enroll", "--pairs", str(pairs), "--device", prefix,
+                     "--uir", uir, "--seed", "6")
     assert rc == 0
     assert f"pairs: {pairs}" in out
     return prefix, uir, name
@@ -364,19 +367,17 @@ def enrolled_device(capsys, tmp_path, pool_file, pairs=3, name="dev01"):
 def test_enroll_then_authenticate_until_exhausted(capsys, tmp_path, pool32_file):
     prefix, uir, name = enrolled_device(capsys, tmp_path, pool32_file, pairs=3)
     for _ in range(3):
-        rc, out, _ = run(capsys, "authenticate", "--sn", name,
-                         "--device", prefix, "--uir", uir)
+        rc, out, _ = run(capsys, "authenticate", "--device", prefix, "--uir", uir)
         assert rc == 0
         assert out.strip() == "accepted"
-    rc, out, _ = run(capsys, "authenticate", "--sn", name,
-                     "--device", prefix, "--uir", uir)
+    rc, out, _ = run(capsys, "authenticate", "--device", prefix, "--uir", uir)
     assert rc == 1
     assert out.strip() == "exhausted"
 
 
 def test_inverse_authentication_accepts_involution(capsys, tmp_path, pool32_file):
     prefix, uir, name = enrolled_device(capsys, tmp_path, pool32_file, pairs=2)
-    rc, out, _ = run(capsys, "authenticate", "--sn", name, "--device", prefix,
+    rc, out, _ = run(capsys, "authenticate", "--device", prefix,
                      "--uir", uir, "--inverse")
     assert rc == 0
     assert out.strip() == "accepted"
@@ -385,8 +386,7 @@ def test_inverse_authentication_accepts_involution(capsys, tmp_path, pool32_file
 def test_tampered_device_is_rejected_and_burns_a_pair(capsys, tmp_path, pool32_file):
     prefix, uir, name = enrolled_device(capsys, tmp_path, pool32_file, pairs=2)
     run(capsys, "tamper", "--device", prefix, "--byte", "33")
-    rc, out, err = run(capsys, "authenticate", "--sn", name,
-                       "--device", prefix, "--uir", uir)
+    rc, out, err = run(capsys, "authenticate", "--device", prefix, "--uir", uir)
     assert rc == 1
     assert out.strip() == "rejected"
     assert err.startswith("boot failed: ")
@@ -398,7 +398,7 @@ def test_tampered_device_is_rejected_and_burns_a_pair(capsys, tmp_path, pool32_f
 
 def test_uir_stats_json(capsys, tmp_path, pool32_file):
     prefix, uir, name = enrolled_device(capsys, tmp_path, pool32_file, pairs=4)
-    run(capsys, "authenticate", "--sn", name, "--device", prefix, "--uir", uir)
+    run(capsys, "authenticate", "--device", prefix, "--uir", uir)
     rc, out, _ = run(capsys, "uir-stats", "--uir", uir, "--format", "json")
     assert rc == 0
     rows = json.loads(out)
@@ -410,21 +410,10 @@ def test_authenticate_without_a_record_is_a_clean_error(capsys, tmp_path, pool32
     uir = tmp_path / "uir"
     run(capsys, "personalize", "--device", prefix, "--pool", pool32_file,
         "--seed", "5")
-    rc, out, err = run(capsys, "authenticate", "--sn", "dev01",
-                       "--device", prefix, "--uir", str(uir))
+    rc, out, err = run(capsys, "authenticate", "--device", prefix, "--uir", str(uir))
     assert rc == 1
     assert (out, err) == ("", "error: no record for serial 'dev01'\n")
     assert list(uir.iterdir()) == []  # the record lock created nothing
-
-
-def test_enroll_serial_mismatch_is_usage_error(capsys, tmp_path, pool32_file):
-    prefix = str(tmp_path / "dev01")
-    run(capsys, "personalize", "--device", prefix, "--pool", pool32_file,
-        "--seed", "5")
-    rc, _, err = run(capsys, "enroll", "--sn", "other", "--pairs", "2",
-                     "--device", prefix, "--uir", str(tmp_path / "uir"))
-    assert rc == 2
-    assert "does not match" in err
 
 
 # ---------------------------------------------------------------------------
@@ -437,6 +426,7 @@ def test_avalanche_writes_csv_and_sidecar(capsys, tmp_path, pool32_file):
     assert rc == 0
     assert "mean:" in out and "chi2_p_value:" in out
 
+    assert b"\r" not in out_file.read_bytes()
     lines = out_file.read_text().strip().splitlines()
     assert lines[0] == "hamming_distance,count"
     assert len(lines) == 66
@@ -456,6 +446,70 @@ def test_avalanche_rounds_stdout(capsys, tmp_path, pool32_file):
     assert lines[0] == "rounds,min,mean,max,stddev"
     assert len(lines) == 4
     assert [int(line.split(",")[0]) for line in lines[1:]] == [1, 2, 3]
+
+
+def test_avalanche_rounds_writes_csv_and_sidecar(capsys, tmp_path, pool32_file):
+    out_file = tmp_path / "rounds.csv"
+    rc, out, _ = run(capsys, "avalanche-rounds", "--from", "1", "--to", "2",
+                     "--sucs", "3", "--trials", "4", "--pool", pool32_file,
+                     "--out", str(out_file))
+    assert rc == 0
+    text = out_file.read_bytes().decode()
+    assert text == out  # the file holds the table stdout printed
+    assert "\r" not in text
+    rows = list(csv.DictReader(io.StringIO(text)))
+    assert list(rows[0]) == ["rounds", "min", "mean", "max", "stddev"]
+    assert [row["rounds"] for row in rows] == ["1", "2"]
+
+    sidecar = json.loads(out_file.with_suffix(".json").read_text())
+    assert sidecar == {
+        "rounds": [1, 2],
+        "means": [float(row["mean"]) for row in rows],
+        "csv": str(out_file),
+    }
+
+
+def test_cost_model_grid_writes_csv_and_sidecar(capsys, tmp_path):
+    out_file = tmp_path / "grid.csv"
+    rc, out, _ = run(capsys, "cost-model", "--grid", "--out", str(out_file))
+    assert rc == 0
+    text = out_file.read_bytes().decode()
+    assert text == out
+    assert text.startswith("r,set_size,total_ms\n")
+    assert len(text.splitlines()) == 1 + 7 * 14
+
+    sidecar = json.loads(out_file.with_suffix(".json").read_text())
+    assert sidecar == {
+        "r": list(range(3, 16, 2)),
+        "set_size": [2 ** e for e in range(8, 22)],
+        "csv": str(out_file),
+    }
+
+
+def _parse_table(fmt, out):
+    """Rows as lists of string cells, from JSON objects or from CSV."""
+    if fmt == "json":
+        return [{k: str(v) for k, v in row.items()} for row in json.loads(out)]
+    return list(csv.DictReader(io.StringIO(out)))
+
+
+@pytest.mark.parametrize("command", ["uir-stats", "avalanche-rounds", "cost-model"])
+def test_every_format_prints_the_same_table(capsys, tmp_path, pool32_file, command):
+    if command == "uir-stats":
+        _, uir, _ = enrolled_device(capsys, tmp_path, pool32_file, pairs=2)
+        argv = ["uir-stats", "--uir", uir]
+    elif command == "avalanche-rounds":
+        argv = ["avalanche-rounds", "--from", "1", "--to", "2", "--sucs", "2",
+                "--trials", "3", "--pool", pool32_file]
+    else:
+        argv = ["cost-model", "--grid"]
+    tables = []
+    for fmt in ("plain", "csv", "json"):
+        rc, out, _ = run(capsys, *argv, "--format", fmt)
+        assert rc == 0
+        tables.append(_parse_table(fmt, out))
+    assert tables[0]
+    assert tables[0] == tables[1] == tables[2]
 
 
 def test_bound_report_json(capsys, pool32_file):
@@ -479,6 +533,7 @@ def test_bound_report_csv_output(capsys, tmp_path, pool32_file):
     assert len(lines) == 5
     sidecar = json.loads(out_file.with_suffix(".json").read_text())
     assert sidecar["count"] == 4
+    assert sidecar["csv"] == str(out_file)
 
 
 @pytest.mark.parametrize(
@@ -511,30 +566,33 @@ def test_importing_the_cli_loads_no_scipy():
 # ---------------------------------------------------------------------------
 # networked authority service
 
-def _spawn_service(uir_dir, enroll_pairs):
-    proc = subprocess.Popen(
+@contextlib.contextmanager
+def _served(uir_dir, enroll_pairs):
+    """Run serve-ta in a subprocess for the with-block; yields its port."""
+    with subprocess.Popen(
         [sys.executable, "-u", "-m", "sucsim.cli", "serve-ta",
          "--listen", "127.0.0.1:0", "--uir", uir_dir,
          "--enroll-pairs", str(enroll_pairs), "--seed", "11",
          "--timeout", "5"],
-        stdout=subprocess.PIPE,
+        stdout=subprocess.DEVNULL,
         stderr=subprocess.PIPE,
         text=True,
-    )
-    line_holder = {}
+    ) as proc:  # leaving it closes the pipe and reaps the process
+        try:
+            line_holder = {}
 
-    def _read():
-        line_holder["line"] = proc.stderr.readline()
+            def _read():
+                line_holder["line"] = proc.stderr.readline()
 
-    reader = threading.Thread(target=_read, daemon=True)
-    reader.start()
-    reader.join(timeout=15)
-    line = line_holder.get("line", "")
-    if "listening on" not in line:
-        proc.terminate()
-        raise RuntimeError(f"service did not start: {line!r}")
-    port = int(line.rsplit(":", 1)[1])
-    return proc, port
+            reader = threading.Thread(target=_read, daemon=True)
+            reader.start()
+            reader.join(timeout=15)
+            line = line_holder.get("line", "")
+            if "listening on" not in line:
+                raise RuntimeError(f"service did not start: {line!r}")
+            yield int(line.rsplit(":", 1)[1])
+        finally:
+            proc.terminate()
 
 
 @pytest.mark.parametrize(
@@ -557,6 +615,7 @@ def _spawn_service(uir_dir, enroll_pairs):
             ["gen-pool", "--count", "1", "--out", "nowhere/x.pool", "--seed", seed]
             for seed in ("-1", str(2**128))
         ),
+        ["gen-pool", "--count", "3000000", "--out", "nowhere/x.pool"],
     ],
 )
 def test_service_and_agent_usage_errors(capsys, tmp_path, monkeypatch, argv):
@@ -582,8 +641,7 @@ def test_agent_against_served_authority(capsys, tmp_path, pool32_file):
     rc, out, _ = run(capsys, "boot", "--device", prefix)
     assert rc == 0
 
-    proc, port = _spawn_service(uir, enroll_pairs=4)
-    try:
+    with _served(uir, enroll_pairs=4) as port:
         # First contact enrolls; the next sessions each burn one pair.
         rc, out, _ = run(capsys, "agent", "--device", prefix,
                          "--connect", f"127.0.0.1:{port}")
@@ -599,10 +657,31 @@ def test_agent_against_served_authority(capsys, tmp_path, pool32_file):
                          "--connect", f"127.0.0.1:{port}", "--repeat", "3")
         assert rc == 1
         assert out.strip().splitlines() == ["accepted", "accepted", "exhausted"]
-    finally:
-        proc.terminate()
-        proc.wait(timeout=10)
 
     rc, out, _ = run(capsys, "uir-stats", "--uir", uir)
     assert rc == 0
     assert "netdev,4,4,0" in out
+
+
+def test_an_unbootable_agent_reaches_the_service_and_uses_a_pair(
+    capsys, tmp_path, pool32_file
+):
+    prefix = str(tmp_path / "netdev")
+    uir = str(tmp_path / "uir")
+    run(capsys, "personalize", "--device", prefix, "--pool", pool32_file,
+        "--seed", "12")
+    with _served(uir, enroll_pairs=2) as port:
+        rc, out, _ = run(capsys, "agent", "--device", prefix,
+                         "--connect", f"127.0.0.1:{port}")
+        assert (rc, out) == (0, "enrolled 2 pairs\n")
+
+        run(capsys, "tamper", "--device", prefix, "--byte", "2")
+        rc, out, err = run(capsys, "agent", "--device", prefix,
+                           "--connect", f"127.0.0.1:{port}")
+        assert rc == 1
+        assert err.startswith("boot failed: envm record invalid")
+        assert out == "error: device not initialized\n"
+
+    rc, out, _ = run(capsys, "uir-stats", "--uir", uir)
+    assert rc == 0
+    assert "netdev,2,1,1" in out

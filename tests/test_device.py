@@ -8,6 +8,7 @@ randomized tamper sweep exercises that claim across the whole file.
 
 import os
 import random
+from pathlib import Path
 
 import pytest
 
@@ -206,10 +207,10 @@ def test_boot_missing_files(tmp_path):
 def test_envm_file_is_stable_across_save_load_cycles(tmp_path, pool32):
     d, dev = fresh(tmp_path)
     personalize(d, dev, pool32)
-    first = open(device.envm_path(d, "dev01"), "rb").read()
+    first = Path(device.envm_path(d, "dev01")).read_bytes()
     reloaded = device.load_device(d, "dev01")
     device.save_envm(reloaded, d)
-    assert open(device.envm_path(d, "dev01"), "rb").read() == first
+    assert Path(device.envm_path(d, "dev01")).read_bytes() == first
 
 
 def test_envm_never_stores_tables_in_the_clear(tmp_path, pool32):
@@ -217,7 +218,7 @@ def test_envm_never_stores_tables_in_the_clear(tmp_path, pool32):
     personalize(d, dev, pool32)
     device.reinit(dev)
     blob = dev.loaded.tables_blob()
-    raw = open(device.envm_path(d, "dev01"), "rb").read()
+    raw = Path(device.envm_path(d, "dev01")).read_bytes()
     text = raw.decode("ascii")
     for off in range(0, len(blob) - 16, 64):
         window = blob[off : off + 16]
@@ -241,7 +242,7 @@ def test_single_byte_tamper_is_always_detected(tmp_path, pool32):
     d, dev = fresh(tmp_path)
     personalize(d, dev, pool32)
     path = device.envm_path(d, "dev01")
-    pristine = open(path, "rb").read()
+    pristine = Path(path).read_bytes()
     rng = random.Random(0)
     for _ in range(150):
         idx = rng.randrange(len(pristine))
@@ -282,7 +283,7 @@ def test_silicon_tamper_breaks_unsealing(tmp_path, pool32):
     d, dev = fresh(tmp_path)
     personalize(d, dev, pool32)
     spath = device.silicon_path(d, "dev01")
-    raw = bytearray(open(spath, "rb").read())
+    raw = bytearray(Path(spath).read_bytes())
     raw[7] ^= 0x20
     with open(spath, "wb") as f:
         f.write(raw)

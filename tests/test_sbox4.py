@@ -23,6 +23,7 @@ from sucsim.errors import EntropyExhausted, PoolFormatError, SearchBudgetExceede
 from sucsim.sbox4 import (
     POOL_MAGIC,
     POOL_VERSION,
+    CLASS_SIZE,
     SBoxPool,
     build_pool,
     check_table4,
@@ -311,6 +312,13 @@ def test_a_pool_blob_holds_whole_tables(pool32):
 def test_build_pool_rejects_zero_count():
     with pytest.raises(ValueError):
         build_pool(0, SeededEntropy(0))
+
+
+def test_build_pool_refuses_more_tables_than_the_class_holds():
+    # refused before any draw: an empty stream would raise EntropyExhausted
+    with pytest.raises(ValueError, match="class size"):
+        build_pool(CLASS_SIZE + 1, RecordedEntropy(b""))
+    assert CLASS_SIZE == 2_211_840  # Leander & Poschmann, 2007
 
 
 def _pool_file(tmp_path, pool):
