@@ -8,9 +8,11 @@ Every result is a record or a table, and `--format` picks its encoding.
 A record prints as `key: value` lines under plain, one CSV header and
 row under csv, and a JSON object under json. A table prints as CSV under
 plain and csv, and as a JSON list of objects under json. JSON keys are
-sorted. One CSV writer serves stdout and every `--out` file: a cell is
-str(value) and every line ends in a newline. Each `--out` CSV file gets
-a `.json` sidecar that names it and holds the run's summary.
+sorted. Under plain, `respond`, `authenticate` and `agent` print their
+records as bare lines: a block, a result word, one line a session. One
+CSV writer serves stdout and every `--out` file: a cell is str(value)
+and every line ends in a newline. Each `--out` CSV file gets a `.json`
+sidecar that names it and holds the run's summary.
 
 Devices are addressed by a path prefix: --device out/dev01 names the
 pair out/dev01.silicon and out/dev01.envm, and its serial dev01.
@@ -109,6 +111,14 @@ def _emit(args, payload: dict) -> None:
     else:
         for k, v in payload.items():
             print(f"{k}: {v}")
+
+
+def _emit_result(args, plain: str, payload: dict) -> None:
+    """Print plain as a bare line under `--format plain`, else the record."""
+    if args.format == "plain":
+        print(plain)
+    else:
+        _emit(args, payload)
 
 
 def _emit_table(args, columns, rows) -> None:
@@ -246,8 +256,8 @@ def cmd_boot(args) -> int:
 def cmd_respond(args) -> int:
     directory, serial = _device_ref(args.device)
     dev = device.boot(directory, serial)
-    challenge = block_from_hex(args.challenge)
-    print(apply(dev.loaded, challenge).hex())
+    response = apply(dev.loaded, block_from_hex(args.challenge)).hex()
+    _emit_result(args, response, {"response": response})
     return 0
 
 
@@ -286,7 +296,7 @@ def cmd_authenticate(args) -> int:
     result = authority.authenticate(
         authority.LocalDeviceChannel(_boot(args)), store, inverse=args.inverse
     )
-    print(result.value)
+    _emit_result(args, result.value, {"result": result.value})
     return 0 if result is authority.AuthResult.ACCEPTED else 1
 
 
@@ -317,15 +327,20 @@ def cmd_agent(args) -> int:
     failures = 0
     for _ in range(args.repeat):
         outcome = netlink.run_agent(dev, address, timeout=args.timeout)
+        result = None if outcome.result is None else outcome.result.value
+        error = None
         if outcome.enrolled:
-            print(f"enrolled {outcome.enrolled} pairs")
-        elif outcome.result is not None:
-            print(outcome.result.value)
-            if outcome.result is not authority.AuthResult.ACCEPTED:
-                failures += 1
+            line = f"enrolled {outcome.enrolled} pairs"
+        elif result is not None:
+            line = result
+            failures += outcome.result is not authority.AuthResult.ACCEPTED
         else:
-            print(f"error: {outcome.error or 'session closed'}")
+            error = outcome.error or "session closed"
+            line = f"error: {error}"
             failures += 1
+        _emit_result(
+            args, line, {"enrolled": outcome.enrolled, "result": result, "error": error}
+        )
     return 1 if failures else 0
 
 

@@ -19,15 +19,24 @@ AUTH_RESULT; an exhausted record sends AUTH_RESULT straight away). The
 service saves the pair's use before it sends the CHALLENGE (see
 `authority.authenticate`). An agent that cannot answer a challenge
 replies with an ERROR frame, which the service scores as a rejection.
+
+Each service turn is one write: the service holds HELLO_ACK, and
+ENROLL_BEGIN on an enrollment, and sends them in front of the next frame,
+so an authentication's HELLO_ACK leaves with its CHALLENGE (or its
+AUTH_RESULT, or an ERROR). Holding groups frames into writes; it
+changes neither the frames nor their order.
+
+Sessions run on service workers that call `accept()` themselves, one
+thread per concurrent session and no session cap yet (see `TaService`).
 """
 
 from __future__ import annotations
 
 import enum
+import itertools
 import logging
 import math
 import socket
-import socketserver
 import struct
 import threading
 import time
@@ -45,6 +54,7 @@ MAGIC = b"SUC1"
 HEADER = struct.Struct(">4sBH")
 MAX_PAYLOAD = 65535
 BLOCKS_PER_FRAME = MAX_PAYLOAD // 8
+IDLE_WORKERS = 2  # service workers waiting in accept() between sessions
 
 
 class FrameKind(enum.IntEnum):
@@ -126,12 +136,24 @@ class FrameChannel:
         self._sock = sock
         self._decoder = StreamDecoder()
         self._ready: list = []
+        self._held = b""
 
-    def send(self, frame: Frame) -> None:
+    def send(self, frame: Frame, hold: bool = False) -> None:
+        """Send the held frames and then this one in one write; with
+        `hold`, keep this one too for the next send."""
+        self._held += encode(frame)
+        if hold:
+            return
+        data, self._held = self._held, b""
         try:
-            self._sock.sendall(encode(frame))
+            self._sock.sendall(data)
         except OSError as exc:
             raise ChannelError(f"send failed: {exc}") from exc
+
+    def take_held(self) -> bytes:
+        """The held frames' bytes, which this channel then forgets."""
+        data, self._held = self._held, b""
+        return data
 
     def recv(self) -> Frame:
         while not self._ready:
@@ -213,23 +235,6 @@ class _SessionChannel:
         return b"".join(answers)
 
 
-class _SessionServer(socketserver.ThreadingTCPServer):
-    """One thread per session; each accept reaps the finished ones."""
-
-    allow_reuse_address = True
-    request_queue_size = min(socket.SOMAXCONN, 128)  # listen()'s own default
-
-    def __init__(self, listen: tuple, serve_session) -> None:
-        super().__init__(listen, None)
-        self.serve_session = serve_session
-
-    def finish_request(self, request, client_address) -> None:
-        self.serve_session(request, client_address)
-
-    def handle_error(self, request, client_address) -> None:
-        log.exception("session with %s crashed", client_address)
-
-
 class TaService:
     """Threaded authority endpoint.
 
@@ -237,6 +242,13 @@ class TaService:
     contact; known serials get one authentication per session, whose
     result and wall-clock time are logged. `timeout` bounds each whole
     session, so a client that trickles bytes cannot hold a thread longer.
+
+    Sessions run on daemon worker threads that accept for themselves:
+    `IDLE_WORKERS` wait in `accept()`, a worker that takes the last
+    waiting slot first starts a replacement, and a worker back from its
+    session exits if `IDLE_WORKERS` others already wait. So each
+    concurrent session has its own thread, named `ta-session-<n>` for
+    the session, and concurrency is unbounded (no session cap yet).
     """
 
     def __init__(
@@ -254,9 +266,13 @@ class TaService:
         self.enroll_pairs = enroll_pairs
         self.entropy = entropy or SystemEntropy()
         self.timeout = timeout
-        self._server = _SessionServer(listen, self._serve_session)
-        self.address = self._server.server_address
-        self._accept_thread: threading.Thread | None = None
+        self._listener = socket.create_server(listen)
+        self.address = self._listener.getsockname()
+        self._lock = threading.Lock()  # guards the three below
+        self._workers: set = set()
+        self._idle = 0  # workers in, or on their way to, accept()
+        self._sessions = itertools.count(1)
+        self._stopping = threading.Event()
 
     def __enter__(self) -> "TaService":
         self.start()
@@ -266,31 +282,69 @@ class TaService:
         self.stop()
 
     def start(self) -> None:
-        self._accept_thread = threading.Thread(
-            target=self._server.serve_forever, name="ta-accept", daemon=True
-        )
-        self._accept_thread.start()
+        with self._lock:
+            for _ in range(IDLE_WORKERS):
+                self._spawn()
         log.info("authority listening on %s:%d", *self.address[:2])
 
     def stop(self) -> None:
         """Stop accepting, then wait for the sessions in flight; repeatable."""
-        if self._accept_thread is not None:
-            try:
-                # wakes serve_forever's select() now, not at its next poll
-                self._server.socket.shutdown(socket.SHUT_RDWR)
-            except OSError:
-                pass  # an earlier stop() closed it
-            self._server.shutdown()  # blocks forever unless serve_forever runs
-        self._server.server_close()
+        with self._lock:
+            self._stopping.set()
+            workers = list(self._workers)
+        try:
+            # on Linux this wakes every accept() at once
+            self._listener.shutdown(socket.SHUT_RDWR)
+        except OSError:
+            pass  # an earlier stop() closed it
+        for worker in workers:
+            worker.join()
+        self._listener.close()
 
     def serve_forever(self) -> None:
         self.start()
         try:
-            self._accept_thread.join()
+            self._stopping.wait()
         except KeyboardInterrupt:
             pass
         finally:
             self.stop()
+
+    def _spawn(self) -> None:
+        """Start one more waiting worker; the caller holds the lock."""
+        worker = threading.Thread(target=self._work, name="ta-worker", daemon=True)
+        self._workers.add(worker)
+        self._idle += 1
+        worker.start()
+
+    def _work(self) -> None:
+        worker = threading.current_thread()
+        while True:
+            try:
+                conn, peer = self._listener.accept()
+            except OSError as exc:
+                if self._stopping.is_set():
+                    break
+                log.warning("accept failed: %s", exc)
+                continue
+            with self._lock:
+                self._idle -= 1
+                if not self._idle and not self._stopping.is_set():
+                    self._spawn()
+                worker.name = f"ta-session-{next(self._sessions)}"
+            with conn:
+                try:
+                    self._serve_session(conn, peer)
+                except Exception:
+                    log.exception("session with %s crashed", peer)
+            with self._lock:
+                if self._idle >= IDLE_WORKERS:
+                    self._workers.discard(worker)
+                    return
+                self._idle += 1
+        with self._lock:
+            self._idle -= 1
+            self._workers.discard(worker)
 
     def _serve_session(self, conn: socket.socket, peer) -> None:
         channel = FrameChannel(_SessionSocket(conn, self.timeout))
@@ -301,24 +355,29 @@ class TaService:
             serial = hello.payload.decode("utf-8", "replace")
             if not records.SERIAL_RE.match(serial):
                 raise FrameError(f"HELLO carries an invalid serial {serial[:80]!r}")
-            channel.send(Frame(FrameKind.HELLO_ACK))
+            channel.send(Frame(FrameKind.HELLO_ACK), hold=True)
             if self.store.has(serial):
                 self._run_authentication(channel, serial)
             else:
                 self._run_enrollment(channel, serial)
         except (SucError, OSError) as exc:
             log.warning("session with %s aborted: %s", peer, exc)
-            try:
-                # past the deadline too, but without waiting: a short frame
-                # goes out unless the peer has stopped reading
-                conn.setblocking(False)
-                conn.sendall(encode(Frame(FrameKind.ERROR, str(exc).encode())))
-            except OSError:
-                pass
+            channel.send(Frame(FrameKind.ERROR, str(exc).encode()), hold=True)
+        finally:
+            # whatever is held, an ERROR too, goes out before the connection
+            # closes, past the deadline too but without waiting: a short
+            # write goes out unless the peer has stopped reading
+            held = channel.take_held()
+            if held:
+                try:
+                    conn.setblocking(False)
+                    conn.sendall(held)
+                except OSError:
+                    pass
 
     def _run_enrollment(self, channel: FrameChannel, serial: str) -> None:
         t = self.enroll_pairs
-        channel.send(Frame(FrameKind.ENROLL_BEGIN, struct.pack(">H", t)))
+        channel.send(Frame(FrameKind.ENROLL_BEGIN, struct.pack(">H", t)), hold=True)
         record = authority.enroll(_SessionChannel(serial, channel), t, self.entropy)
         self.store.create(record)
         channel.send(Frame(FrameKind.ENROLL_END))

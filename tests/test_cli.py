@@ -289,6 +289,21 @@ def test_respond_is_an_involution(capsys, tmp_path, pool32_file):
     assert second.strip() == challenge
 
 
+def test_respond_prints_a_record_under_json_and_csv(capsys, tmp_path, pool32_file):
+    prefix = str(tmp_path / "devfmt")
+    run(capsys, "personalize", "--device", prefix, "--pool", pool32_file,
+        "--seed", "3")
+    challenge = "0123456789abcdef"
+    _, plain, _ = run(capsys, "respond", "--device", prefix, "--challenge", challenge)
+    rc, out, _ = run(capsys, "respond", "--device", prefix,
+                     "--challenge", challenge, "--format", "json")
+    assert rc == 0
+    assert json.loads(out) == {"response": plain.strip()}
+    rc, out, _ = run(capsys, "respond", "--device", prefix,
+                     "--challenge", challenge, "--format", "csv")
+    assert (rc, out) == (0, f"response\n{plain.strip()}\n")
+
+
 def test_personalize_refuses_an_empty_pool_before_making_a_device(capsys, tmp_path):
     pool_file = tmp_path / "empty.pool"
     head = struct.pack(">8sH6xI", POOL_MAGIC, POOL_VERSION, 0)
@@ -373,6 +388,17 @@ def test_enroll_then_authenticate_until_exhausted(capsys, tmp_path, pool32_file)
     rc, out, _ = run(capsys, "authenticate", "--device", prefix, "--uir", uir)
     assert rc == 1
     assert out.strip() == "exhausted"
+
+
+def test_authenticate_prints_a_record_under_json_and_csv(capsys, tmp_path, pool32_file):
+    prefix, uir, name = enrolled_device(capsys, tmp_path, pool32_file, pairs=1)
+    rc, out, _ = run(capsys, "authenticate", "--device", prefix, "--uir", uir,
+                     "--format", "json")
+    assert rc == 0
+    assert json.loads(out) == {"result": "accepted"}
+    rc, out, _ = run(capsys, "authenticate", "--device", prefix, "--uir", uir,
+                     "--format", "csv")
+    assert (rc, out) == (1, "result\nexhausted\n")
 
 
 def test_inverse_authentication_accepts_involution(capsys, tmp_path, pool32_file):
@@ -661,6 +687,34 @@ def test_agent_against_served_authority(capsys, tmp_path, pool32_file):
     rc, out, _ = run(capsys, "uir-stats", "--uir", uir)
     assert rc == 0
     assert "netdev,4,4,0" in out
+
+
+def json_records(text):
+    """The JSON objects printed one after another in text."""
+    decoder, records, text = json.JSONDecoder(), [], text.strip()
+    while text:
+        record, end = decoder.raw_decode(text)
+        records.append(record)
+        text = text[end:].lstrip()
+    return records
+
+
+def test_agent_prints_a_record_per_session(capsys, tmp_path, pool32_file):
+    prefix = str(tmp_path / "netdev")
+    uir = str(tmp_path / "uir")
+    run(capsys, "personalize", "--device", prefix, "--pool", pool32_file,
+        "--seed", "12")
+    with _served(uir, enroll_pairs=3) as port:
+        connect = ["agent", "--device", prefix, "--connect", f"127.0.0.1:{port}"]
+        rc, out, _ = run(capsys, *connect, "--format", "json")
+        assert rc == 0
+        assert json.loads(out) == {"enrolled": 3, "error": None, "result": None}
+        rc, out, _ = run(capsys, *connect, "--repeat", "2", "--format", "json")
+        assert rc == 0
+        assert json_records(out) == [{"enrolled": 0, "error": None, "result": "accepted"}] * 2
+        run(capsys, "tamper", "--device", prefix, "--byte", "2")
+        rc, out, _ = run(capsys, *connect, "--format", "csv")
+        assert (rc, out) == (1, "enrolled,result,error\n0,,device not initialized\n")
 
 
 def test_an_unbootable_agent_reaches_the_service_and_uses_a_pair(

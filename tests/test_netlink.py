@@ -8,6 +8,7 @@ loopback sockets.
 import gc
 import logging
 import socket
+import sys
 import threading
 import time
 
@@ -334,6 +335,129 @@ def test_a_crashing_session_is_logged_and_the_service_goes_on(
     assert error.exc_info[0] is RuntimeError
 
 
+def frames_per_write(monkeypatch):
+    """Record the kinds of the frames in each write the service makes."""
+    writes = []
+    original = netlink._SessionSocket.sendall
+
+    def sendall(self, data):
+        writes.append([f.kind for f in StreamDecoder().feed(data)])
+        return original(self, data)
+
+    monkeypatch.setattr(netlink._SessionSocket, "sendall", sendall)
+    return writes
+
+
+def test_each_service_turn_is_one_write(tmp_path, booted, monkeypatch):
+    writes = frames_per_write(monkeypatch)
+    dev = booted()
+    store = UirStore(tmp_path / "uir")
+    with TaService(store, enroll_pairs=4, entropy=SeededEntropy(0)) as svc:
+        assert run_agent(dev, svc.address).enrolled == 4
+        enrollment = writes[:]
+        writes.clear()
+        assert run_agent(dev, svc.address).result is AuthResult.ACCEPTED
+    K = FrameKind
+    assert enrollment == [[K.HELLO_ACK, K.ENROLL_BEGIN, K.CHALLENGE], [K.ENROLL_END]]
+    assert writes == [[K.HELLO_ACK, K.CHALLENGE], [K.AUTH_RESULT]]
+
+
+def raw_session(address, serial, answer):
+    """Frames a plain client reads, as (kind, payload), until the service
+    closes; each CHALLENGE gets answer(payload) back."""
+    frames = []
+    with socket.create_connection(address, timeout=5) as sock:
+        channel = netlink.FrameChannel(sock)
+        channel.send(Frame(FrameKind.HELLO, serial.encode()))
+        while True:
+            try:
+                frame = channel.recv()
+            except netlink.ChannelError:
+                return frames
+            frames.append((frame.kind, frame.payload))
+            if frame.kind == FrameKind.CHALLENGE:
+                channel.send(Frame(FrameKind.RESPONSE, answer(frame.payload)))
+
+
+def test_a_plain_client_reads_the_same_frames_in_the_same_order(tmp_path, booted):
+    dev = booted()
+    answer = lambda blocks: apply(dev.loaded, blocks)
+    K = FrameKind
+    with TaService(UirStore(tmp_path / "uir"), enroll_pairs=1, entropy=SeededEntropy(0)) as svc:
+        enrollment = raw_session(svc.address, "dev01", answer)
+        accepted = raw_session(svc.address, "dev01", answer)
+        exhausted = raw_session(svc.address, "dev01", answer)
+    assert [(k, len(p)) for k, p in enrollment] == [
+        (K.HELLO_ACK, 0), (K.ENROLL_BEGIN, 2), (K.CHALLENGE, 8), (K.ENROLL_END, 0)
+    ]
+    assert enrollment[1][1] == b"\x00\x01"
+    assert [(k, len(p)) for k, p in accepted] == [
+        (K.HELLO_ACK, 0), (K.CHALLENGE, 8), (K.AUTH_RESULT, 1)
+    ]
+    assert accepted[2][1] == b"\x00"
+    assert exhausted == [(K.HELLO_ACK, b""), (K.AUTH_RESULT, b"\x02")]
+
+
+def test_silent_clients_do_not_delay_an_authentication(tmp_path, booted):
+    dev = booted()
+    store = UirStore(tmp_path / "uir")
+    with TaService(store, enroll_pairs=2, entropy=SeededEntropy(0), timeout=5) as svc:
+        run_agent(dev, svc.address)
+        silent = [socket.create_connection(svc.address, timeout=5) for _ in range(16)]
+        try:
+            started = time.perf_counter()
+            outcome = run_agent(dev, svc.address)
+            elapsed = time.perf_counter() - started
+        finally:
+            for sock in silent:
+                sock.close()
+    assert outcome.result is AuthResult.ACCEPTED
+    assert elapsed < 1.0
+
+
+def enroll_by_echo(sock, serial):
+    """A plain client's enrollment that answers each challenge with itself."""
+    channel = netlink.FrameChannel(sock)
+    channel.send(Frame(FrameKind.HELLO, serial.encode()))
+    channel.expect(FrameKind.HELLO_ACK)
+    channel.expect(FrameKind.ENROLL_BEGIN)
+    challenge = channel.expect(FrameKind.CHALLENGE)
+    channel.send(Frame(FrameKind.RESPONSE, challenge.payload))
+    channel.expect(FrameKind.ENROLL_END)
+
+
+def test_workers_return_to_the_idle_level_after_a_burst(tmp_path):
+    interval = sys.getswitchinterval()
+    with TaService(UirStore(tmp_path / "uir"), enroll_pairs=2, entropy=SeededEntropy(0)) as svc:
+        idle = threading.active_count()
+        socks = [socket.create_connection(svc.address, timeout=5) for _ in range(8)]
+        clients = [
+            threading.Thread(target=enroll_by_echo, args=(sock, f"dev{i}"))
+            for i, sock in enumerate(socks)
+        ]
+        try:
+            # each open connection holds a worker of its own
+            deadline = time.monotonic() + 5
+            while threading.active_count() < idle + 7 and time.monotonic() < deadline:
+                time.sleep(0.005)
+            assert threading.active_count() >= idle + 7
+            sys.setswitchinterval(1e-5)  # interleave the workers' returns
+            for t in clients:
+                t.start()
+            for t in clients:
+                t.join(timeout=10)
+            assert not any(t.is_alive() for t in clients)
+        finally:
+            sys.setswitchinterval(interval)
+            for sock in socks:
+                sock.close()
+        deadline = time.monotonic() + 5
+        while threading.active_count() > idle and time.monotonic() < deadline:
+            time.sleep(0.005)
+        assert threading.active_count() == idle
+        assert sorted(svc.store.serials()) == [f"dev{i}" for i in range(8)]
+
+
 def heap_threads():
     gc.collect()
     return sum(isinstance(o, threading.Thread) for o in gc.get_objects())
@@ -415,14 +539,16 @@ def test_an_unanswered_challenge_does_not_hold_the_serial(tmp_path, booted):
 
 
 def test_stop_returns_promptly(tmp_path):
+    before = set(threading.enumerate())
     svc = TaService(UirStore(tmp_path / "uir"))
     svc.start()
-    time.sleep(0.2)  # let the accept thread wait for connections
+    workers = set(threading.enumerate()) - before
+    assert len(workers) == netlink.IDLE_WORKERS
+    time.sleep(0.2)  # let the workers wait in accept()
     started = time.perf_counter()
     svc.stop()
     assert time.perf_counter() - started < 0.1
-    svc._accept_thread.join(timeout=5)
-    assert not svc._accept_thread.is_alive()
+    assert not any(w.is_alive() for w in workers)
     svc.stop()  # as serve_forever does after a stop() from another thread
     never_started = TaService(UirStore(tmp_path / "uir"))
     started = time.perf_counter()
