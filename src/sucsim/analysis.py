@@ -236,6 +236,8 @@ def bound_report(
     pool: SBoxPool, count: int = 1000, feistel_r: int = 3, seed: int = 0
 ) -> BoundReport:
     """Profile `count` freshly drawn Feistel-built byte substitutions."""
+    if count < 1:
+        raise ValueError("count must be positive")
     diff_probs, lin_probs = [], []
     for i in range(count):
         stream = SeededEntropy(_subseed(seed, "bound", i))

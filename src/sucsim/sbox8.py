@@ -119,42 +119,65 @@ class SBoxProfile8:
 
 
 _BYTES = np.arange(256)
-# (-1) to the parity of every byte value
-_SIGN = 1 - 2 * (np.bitwise_count(_BYTES) & 1).astype(np.int16)
-# _XOR[a, x] = x ^ a and _ROW[a] = a << 8 address the 256 x 256 DDT cells
-_XOR = _BYTES[:, None] ^ _BYTES
-_ROW = (_BYTES[:, None] << 8).astype(np.uint16)
-_ONE_BIT = 1 << np.arange(8)
+# _SIGNS[y, b - 1] = (-1)^popcount(b & y) for the nonzero output masks b, so
+# row S(x) holds the sign of every component function at x. It is a row of
+# the symmetric +-1 Hadamard matrix, minus the b = 0 column.
+_SIGNS = 1 - 2 * (np.bitwise_count(_BYTES[:, None] & _BYTES[1:]) & 1).astype(np.int8)
+# _HALF[h] lists the 128 x with bit h clear. For a with top bit h, row a - 1 of
+# _PARTNER lists x ^ a for those x: one x from each pair {x, x ^ a}.
+_HALF = np.array([[x for x in range(256) if not x >> h & 1] for h in range(8)])
+_TOP_BIT = np.array([a.bit_length() - 1 for a in range(1, 256)])
+_PARTNER = _HALF[_TOP_BIT] ^ _BYTES[1:, None]
+# row a - 1 of the half-size DDT counts its differences from key (a - 1) << 8
+_ROW_KEY = _BYTES[:255, None] << 8
+_ONE_BIT_ROWS = (1 << np.arange(8)) - 1
+
+
+def _butterflies(w):
+    """Walsh-Hadamard passes over the top four bits of w's row index.
+
+    Pass k adds and subtracts the two halves of each of 2^k row blocks.
+    Past four passes the blocks get short and each add about three times
+    slower, so the caller brings the low four bits to the top with one
+    transposing copy instead.
+    """
+    u = np.empty_like(w)
+    for k in range(4):
+        v, o = w.reshape(2**k, 2, -1), u.reshape(2**k, 2, -1)
+        np.add(v[:, 0], v[:, 1], out=o[:, 0])
+        np.subtract(v[:, 0], v[:, 1], out=o[:, 1])
+        w, u = u, w
+    return w
 
 
 def profile8(sbox) -> SBoxProfile8:
-    """Full 256x256 DDT and 256x255 Walsh scan of an 8-bit table."""
+    """Exhaustive DDT and Walsh maxima and branch number of an 8-bit table.
+
+    DDT: for any function, x and x ^ a give the same difference, so row a
+    counts each difference twice over the 128 x with a's top bit clear.
+    One bincount of those 255 x 128 (a, difference) keys, its maximum
+    doubled, gives the DDT maximum.
+
+    Walsh: row x of _SIGNS[S] holds (-1)^{b.S(x)} for every b != 0, and a
+    Walsh-Hadamard transform down the rows gives every W(a, b), the rows
+    in some order of a. Sums stay within +-16 over the first four passes,
+    which run in int8, and within +-256 over the last four, in int16.
+    """
     box = sbox if isinstance(sbox, SBox8) else SBox8(table=sbox)
     t = np.frombuffer(box.table, dtype=np.uint8)
 
-    bijective = len(set(box.table)) == 256
-    involutive = bool(np.all(t[t] == _BYTES))
+    d = np.take(np.take(t, _HALF), _TOP_BIT, axis=0) ^ np.take(t, _PARTNER)
+    diff = 2 * int(np.bincount((_ROW_KEY + d).ravel()).max())
+    # a = 1 << j pairs every x with its partner, so its half row covers them all
+    branch_min = int(np.bitwise_count(d[_ONE_BIT_ROWS]).min())
 
-    # d[a, x] = S(x) ^ S(x ^ a): one bincount fills the whole DDT
-    d = t ^ np.take(t, _XOR)
-    ddt = np.bincount((_ROW | d).ravel(), minlength=256 * 256)
-    diff = int(ddt[256:].max())
+    w = _butterflies(np.take(_SIGNS, t, axis=0))
+    w = _butterflies(w.reshape(16, 16, 255).transpose(1, 0, 2).astype(np.int16, order="C"))
+    lin = int(max(w.max(), -w.min()))
 
-    # Walsh spectrum: per output mask b, signs (-1)^{b.S(x)} transformed
-    # over x by a fast Walsh-Hadamard pass evaluates all input masks a.
-    # Each pass pairs entry k with k + 128 and interleaves their sum and
-    # difference; eight such passes give the natural-order transform.
-    # Every partial sum stays within +-256, so int16 holds it.
-    w = _SIGN[_BYTES[1:, None] & t]
-    for _ in range(8):
-        lo, hi = w[:, :128], w[:, 128:]
-        w = np.stack((lo + hi, lo - hi), axis=2).reshape(255, 256)
-    lin = int(np.abs(w).max())
-
-    branch_min = int(np.bitwise_count(d[_ONE_BIT]).min())
     return SBoxProfile8(
-        bijective=bijective,
-        involutive=involutive,
+        bijective=len(set(box.table)) == 256,
+        involutive=box.is_involution(),
         lin=lin,
         diff=diff,
         branch_min=branch_min,

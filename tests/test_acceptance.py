@@ -79,7 +79,8 @@ def test_pool_entries_survive_independent_verification(pool256_timed):
     assert build_seconds < 300.0, f"pool build took {build_seconds:.1f}s"
     assert pool.count == 256
     assert pool.digest.hex() == POOL256_SEED0_DIGEST
-    for t in pool.entries:
+    for i in range(pool.count):
+        t = pool.entry(i)
         assert len(set(t)) == 16
         assert _walsh_max(t) == 8
         assert _diff_max(t) == 4

@@ -239,6 +239,12 @@ def test_bound_report_shape(pool32):
     assert 0.0 <= rep.frac_lin_exceeding <= 1.0
 
 
+@pytest.mark.parametrize("count", [0, -3])
+def test_bound_report_refuses_a_count_below_one(pool32, count):
+    with pytest.raises(ValueError, match="count must be positive"):
+        bound_report(pool32, count=count)
+
+
 def test_bound_report_deterministic(pool32):
     a = bound_report(pool32, count=12, seed=9)
     b = bound_report(pool32, count=12, seed=9)

@@ -200,7 +200,7 @@ def test_gen_pool_roundtrip(capsys, tmp_path):
     assert rc == 0
     pool = read_pool(out_file)
     assert pool.count == 4
-    assert all(is_serpent_type(entry) for entry in pool.entries)
+    assert all(is_serpent_type(pool.entry(i)) for i in range(pool.count))
     assert f"digest: {pool.digest.hex()}" in out
 
 
@@ -208,7 +208,7 @@ def test_gen_pool_default_seed_is_zero(capsys, tmp_path):
     a, b = str(tmp_path / "a.bin"), str(tmp_path / "b.bin")
     run(capsys, "gen-pool", "--count", "3", "--out", a)
     run(capsys, "gen-pool", "--count", "3", "--seed", "0", "--out", b)
-    assert read_pool(a).entries == read_pool(b).entries
+    assert read_pool(a).blob == read_pool(b).blob
 
 
 def test_build_sbox8_then_profile8(capsys, tmp_path, pool32_file):
@@ -560,6 +560,14 @@ def test_bound_report_csv_output(capsys, tmp_path, pool32_file):
     sidecar = json.loads(out_file.with_suffix(".json").read_text())
     assert sidecar["count"] == 4
     assert sidecar["csv"] == str(out_file)
+
+
+@pytest.mark.parametrize("count", ["0", "-3"])
+def test_bound_report_count_below_one_is_usage_error(capsys, pool32_file, count):
+    rc, out, err = run(capsys, "bound-report", "--count", count, "--pool", pool32_file)
+    assert rc == 2
+    assert out == ""
+    assert err.startswith("usage error:") and "count must be positive" in err
 
 
 @pytest.mark.parametrize(

@@ -53,7 +53,7 @@ def ref_profile(table):
 
 
 def spec_from(pool, indices, r):
-    return FeistelSpec(r=r, free=tuple(pool.entries[i] for i in indices))
+    return FeistelSpec(r=r, free=tuple(pool.entry(i) for i in indices))
 
 
 # ---------------------------------------------------------------------------
@@ -62,7 +62,7 @@ def spec_from(pool, indices, r):
 def test_construction_matches_reference(pool32):
     for r, indices in [(1, [0]), (3, [1, 2]), (5, [3, 4, 5]), (7, [6, 7, 8, 9])]:
         box = feistel8(spec_from(pool32, indices, r))
-        free = tuple(pool32.entries[i] for i in indices)
+        free = tuple(pool32.entry(i) for i in indices)
         assert all(box.table[x] == ref_feistel(free, r, x) for x in range(256))
 
 
@@ -91,7 +91,7 @@ def test_construction_is_involution_for_any_round_functions():
 
 
 def test_single_round_only_touches_the_high_nibble(pool32):
-    s0 = pool32.entries[0]
+    s0 = pool32.entry(0)
     box = feistel8(FeistelSpec(r=1, free=(s0,)))
     for x in range(256):
         assert box.table[x] == (((x >> 4) ^ s0[x & 15]) << 4) | (x & 15)
@@ -131,7 +131,7 @@ def test_spec_validation():
 @given(st.integers(0, 31), st.integers(0, 31), st.integers(0, 255))
 @settings(max_examples=80, deadline=None)
 def test_construction_point_checks(pool32, i, j, x):
-    free = (pool32.entries[i], pool32.entries[j])
+    free = (pool32.entry(i), pool32.entry(j))
     box = feistel8(FeistelSpec(r=3, free=free))
     assert box.table[x] == ref_feistel(free, 3, x)
     assert box.table[box.table[x]] == x
@@ -148,6 +148,16 @@ def test_profile_matches_reference_on_permutations():
         p = profile8(tuple(t))
         assert p.bijective
         assert (p.lin, p.diff, p.branch_min) == ref_profile(t)
+
+
+def test_profile_matches_reference_on_random_functions():
+    # the half-size DDT pairs x with x ^ a, which must hold for any function
+    rng = random.Random(37)
+    for image in (256, 17, 2):
+        for _ in range(6):
+            t = [rng.randrange(image) for _ in range(256)]
+            p = profile8(tuple(t))
+            assert (p.lin, p.diff, p.branch_min) == ref_profile(t)
 
 
 def test_profile_matches_reference_on_built_boxes(pool32):
@@ -170,7 +180,7 @@ def test_profile_of_a_constant_table():
     p = profile8((0,) * 256)
     assert not p.bijective
     assert not p.involutive
-    assert p.diff == 256
+    assert (p.lin, p.diff, p.branch_min) == ref_profile((0,) * 256) == (256, 256, 0)
 
 
 def test_probability_views():
